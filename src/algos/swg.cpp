@@ -1,8 +1,6 @@
 #include "algos/swg.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -337,12 +335,6 @@ fillScalar(Tables &tab, const SwgParams &sp, std::string_view p,
         if (lo <= hi) {
             tab.recenter(d + 1, tab.h.center(d) +
                                     steerBand(tab.h, d, lo, hi));
-            if (std::getenv("QZ_DEBUG_BAND") && d % 20 == 0)
-                std::fprintf(stderr, "d=%ld center=%ld lo=%ld hi=%ld "
-                             "top=%d bot=%d\n", (long)d,
-                             (long)tab.h.center(d + 1), (long)lo,
-                             (long)hi, tab.h.at(hi, d - hi),
-                             tab.h.at(lo, d - lo));
             if (bu) {
                 bu->loadInt(kSiteHS, tab.h.ptr(d, lo));
                 bu->loadInt(kSiteHS, tab.h.ptr(d, hi));

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "genomics/datasets.hpp"
@@ -286,6 +288,84 @@ StoreWriter::finish()
 // ---------------------------------------------------------------------
 // ReadStore
 
+namespace {
+
+bool
+before(const timespec &a, const timespec &b)
+{
+    return a.tv_sec != b.tv_sec ? a.tv_sec < b.tv_sec
+                                : a.tv_nsec < b.tv_nsec;
+}
+
+/** What identifies one version of a store file. */
+struct FileVersion
+{
+    off_t size;
+    timespec mtime;
+    timespec ctime;
+    std::uint64_t checksum; //!< the header's content checksum
+
+    bool
+    operator==(const FileVersion &other) const
+    {
+        const auto same = [](const timespec &a, const timespec &b) {
+            return a.tv_sec == b.tv_sec && a.tv_nsec == b.tv_nsec;
+        };
+        return size == other.size && same(mtime, other.mtime) &&
+               same(ctime, other.ctime) && checksum == other.checksum;
+    }
+};
+
+/**
+ * The file versions this process has verified, keyed by
+ * (st_dev, st_ino): a re-open of a matching version skips the
+ * content scan (docs/STORE.md "Provenance and integrity").
+ */
+class VerifiedVersions
+{
+  public:
+    using Key = std::pair<dev_t, ino_t>;
+
+    bool
+    contains(const Key &key, const FileVersion &version)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = versions_.find(key);
+        return it != versions_.end() && it->second == version;
+    }
+
+    /**
+     * Record @p version as verified by a scan that started after
+     * @p scanStart (CLOCK_REALTIME_COARSE). A version stamped in or
+     * after that tick is not recorded: a rewrite within the same
+     * timestamp tick would leave its size and times unchanged.
+     */
+    void
+    remember(const Key &key, const FileVersion &version,
+             const timespec &scanStart)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (before(version.mtime, scanStart) &&
+            before(version.ctime, scanStart))
+            versions_.insert_or_assign(key, version);
+        else
+            versions_.erase(key);
+    }
+
+  private:
+    std::mutex mutex_;
+    std::map<Key, FileVersion> versions_;
+};
+
+VerifiedVersions &
+verifiedVersions()
+{
+    static VerifiedVersions versions;
+    return versions;
+}
+
+} // namespace
+
 std::shared_ptr<const ReadStore>
 ReadStore::open(const std::string &path,
                 const StoreOpenOptions &options)
@@ -294,6 +374,10 @@ ReadStore::open(const std::string &path,
     store->path_ = path;
     store->fd_ = ::open(path.c_str(), O_RDONLY);
     fatal_if(store->fd_ < 0, "cannot open store '{}'", path);
+    // Read before the stat, so any write after it stamps the file
+    // with this tick or a later one.
+    timespec scanStart{};
+    ::clock_gettime(CLOCK_REALTIME_COARSE, &scanStart);
     struct stat st;
     fatal_if(::fstat(store->fd_, &st) != 0,
              "cannot stat store '{}'", path);
@@ -352,7 +436,11 @@ ReadStore::open(const std::string &path,
         // mmap failure is not an error: fall through to pread.
     }
 
-    if (options.verifyChecksum) {
+    const VerifiedVersions::Key key{st.st_dev, st.st_ino};
+    const FileVersion fileVersion{st.st_size, st.st_mtim, st.st_ctim,
+                                  store->checksum_};
+    if (options.verifyChecksum &&
+        !verifiedVersions().contains(key, fileVersion)) {
         // Stream the verification with pread so it never inflates
         // RSS, even in mmap mode.
         std::uint64_t hash = kFnvOffset;
@@ -374,6 +462,8 @@ ReadStore::open(const std::string &path,
                  "store '{}' failed its content checksum "
                  "(corrupted or torn write)",
                  path);
+        store->scannedOnOpen_ = true;
+        verifiedVersions().remember(key, fileVersion, scanStart);
     }
     return store;
 }
@@ -621,27 +711,13 @@ parseStoreTarget(std::string_view target)
 std::unique_ptr<PairSource>
 openStoreSource(const StoreTarget &target)
 {
-    auto store = openStoreShared(target.path);
+    auto store = ReadStore::open(target.path);
     fatal_if(target.from > store->size(),
              "store range starts at pair {} but '{}' holds {} "
              "pair(s)",
              target.from, target.path, store->size());
     return std::make_unique<StorePairSource>(std::move(store),
                                              target.from, target.to);
-}
-
-std::shared_ptr<const ReadStore>
-openStoreShared(const std::string &path)
-{
-    static std::mutex mutex;
-    static std::map<std::string, std::weak_ptr<const ReadStore>>
-        cache;
-    std::lock_guard<std::mutex> lock(mutex);
-    if (auto cached = cache[path].lock())
-        return cached;
-    auto store = ReadStore::open(path);
-    cache[path] = store;
-    return store;
 }
 
 } // namespace quetzal::genomics

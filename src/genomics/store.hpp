@@ -109,7 +109,10 @@ class StoreWriter
 
 struct StoreOpenOptions
 {
-    /** Verify the FNV-1a content checksum (streamed, O(file)). */
+    /**
+     * Verify the FNV-1a content checksum (streamed, O(file)) unless
+     * this process already verified the same file version.
+     */
     bool verifyChecksum = true;
     /** Force the pread() fallback even where mmap is available. */
     bool disableMmap = false;
@@ -123,6 +126,13 @@ struct StoreOpenOptions
 class ReadStore
 {
   public:
+    /**
+     * Map @p path and check its header and layout. The content scan
+     * runs once per file version per process: a re-open of a file
+     * whose (device, inode), size, mtime, ctime and header checksum
+     * match an earlier verified open skips it (docs/STORE.md
+     * "Provenance and integrity"). Every call maps the file afresh.
+     */
     static std::shared_ptr<const ReadStore>
     open(const std::string &path, const StoreOpenOptions &options = {});
 
@@ -160,6 +170,13 @@ class ReadStore
     mapped() const
     {
         return map_ != nullptr;
+    }
+
+    /** True when open() scanned the content against its checksum. */
+    bool
+    scannedOnOpen() const
+    {
+        return scannedOnOpen_;
     }
 
     /** Decode pair @p index into @p out (clears previous contents). */
@@ -211,6 +228,7 @@ class ReadStore
     std::uint64_t indexOffset_ = 0;
     std::uint64_t pairCount_ = 0;
     std::uint64_t checksum_ = 0;
+    bool scannedOnOpen_ = false;
     StoreProvenance provenance_;
 };
 
@@ -279,15 +297,6 @@ StoreTarget parseStoreTarget(std::string_view target);
 
 /** Open @p target.path and slice its range as a fresh source. */
 std::unique_ptr<PairSource> openStoreSource(const StoreTarget &target);
-
-/**
- * Process-wide cache of opened stores, keyed by path: repeated opens
- * (qz-serve workers serving many requests against one store) reuse
- * the mapping and skip re-verifying the checksum. Entries are weak —
- * a store closes when its last user drops it.
- */
-std::shared_ptr<const ReadStore>
-openStoreShared(const std::string &path);
 
 } // namespace quetzal::genomics
 

@@ -295,14 +295,14 @@ responseFromJson(const JsonValue &json)
 namespace {
 
 /**
- * Streaming source over the store range a request addresses. Open
- * stores are cached per process (openStoreShared), so a worker
- * serving many ranges of one store maps and checksums it once.
+ * Streaming source over the store range a request addresses. Each
+ * request maps the store afresh; the content checksum runs once per
+ * file version per worker process (ReadStore::open).
  */
 genomics::StorePairSource
 storeSourceFor(const ServeRequest &request)
 {
-    auto store = genomics::openStoreShared(request.store);
+    auto store = genomics::ReadStore::open(request.store);
     fatal_if(request.storeFrom > store->size(),
              "request {}: store range starts at {} but '{}' holds "
              "only {} pair(s)",

@@ -17,11 +17,18 @@
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
+#include <time.h>
 #include <unistd.h>
+
+#include <chrono>
+#include <cstdio>
+#include <thread>
 
 #include "algos/batch.hpp"
 #include "algos/report.hpp"
 #include "genomics/readsim.hpp"
+#include "genomics/store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -515,6 +522,86 @@ TEST(ServePool, GracefulStopFinishesInFlightAndShedsTheQueue)
     EXPECT_EQ(responses.back().status,
               serve::ResponseStatus::Shutdown);
     service.shutdown();
+}
+
+/** Write @p pairs as a store at @p path, then wait until a verifying
+ *  open may vouch for it (its timestamp tick has passed). */
+void
+writeSettledStore(const std::string &path,
+                  const std::vector<genomics::SequencePair> &pairs)
+{
+    genomics::StoreWriter writer(path, genomics::StoreProvenance{});
+    for (const auto &pair : pairs)
+        writer.add(pair);
+    writer.finish();
+    struct stat st{};
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    for (;;) {
+        timespec now{};
+        ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
+        const auto newer = [&](const timespec &t) {
+            return now.tv_sec != t.tv_sec ? now.tv_sec > t.tv_sec
+                                          : now.tv_nsec > t.tv_nsec;
+        };
+        if (newer(st.st_mtim) && newer(st.st_ctim))
+            return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
+TEST(ServePool, LongLivedWorkerFollowsAStoreRewrittenInPlace)
+{
+    const std::string path = ::testing::TempDir() + "serve_store.qzs";
+    std::vector<serve::ServeRequest> requests(2);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        requests[i].id = i;
+        requests[i].store = path;
+        requests[i].storeFrom = 3 * i;
+        requests[i].storeTo = 3 * i + 4;
+    }
+    requests[0].workload = "WFA";
+    requests[1].workload = "SS+WFA";
+    requests[1].ssThreshold = 5;
+
+    std::vector<serve::ServeResponse> responses;
+    serve::ServeConfig config;
+    config.workers = 1;
+    serve::AlignService service(
+        config, [&](const serve::ServeResponse &response) {
+            responses.push_back(response);
+        });
+
+    // Serve each store version twice, so the worker's second round
+    // re-opens a version it has already verified.
+    std::vector<std::string> firstVersion;
+    for (const std::uint64_t seed : {11u, 12u}) {
+        writeSettledStore(path, tinyPairs(60, 8, seed));
+        std::vector<std::string> expected;
+        for (const auto &request : requests)
+            expected.push_back(algos::toJson(
+                serve::runRequestInProcess(request)));
+        for (int round = 0; round < 2; ++round) {
+            responses.clear();
+            for (const auto &request : requests)
+                ASSERT_TRUE(service.submit(request));
+            service.drain();
+            ASSERT_EQ(responses.size(), requests.size());
+            for (const auto &response : responses) {
+                ASSERT_EQ(response.status, serve::ResponseStatus::Ok)
+                    << response.message;
+                EXPECT_EQ(algos::toJson(*response.result),
+                          expected[response.id])
+                    << "seed " << seed << " request " << response.id;
+            }
+        }
+        if (firstVersion.empty())
+            firstVersion = expected;
+        else
+            EXPECT_NE(expected, firstVersion);
+    }
+    EXPECT_EQ(service.stats().respawns, 0u);
+    service.shutdown();
+    std::remove(path.c_str());
 }
 
 TEST(ServePool, RoundTripCheckMatchesInProcessRun)

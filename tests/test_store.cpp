@@ -5,14 +5,22 @@
  * header/checksum rejection of truncated or corrupted files, slice
  * boundary behavior, mmap-vs-pread equality, and the tentpole safety
  * invariant — store-backed sweeps report byte-identically to in-RAM
- * sweeps, unsharded and through a 3-shard merge.
+ * sweeps, unsharded and through a 3-shard merge — plus the
+ * once-per-file-version checksum rule of ReadStore::open().
  */
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <time.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/batch.hpp"
@@ -158,6 +166,173 @@ TEST(Store, RejectsCorruptedPayload)
     genomics::StoreOpenOptions lax;
     lax.verifyChecksum = false;
     EXPECT_NO_THROW(ReadStore::open(path.str(), lax));
+}
+
+bool
+earlier(const timespec &a, const timespec &b)
+{
+    return a.tv_sec != b.tv_sec ? a.tv_sec < b.tv_sec
+                                : a.tv_nsec < b.tv_nsec;
+}
+
+struct stat
+statOf(const std::string &path)
+{
+    struct stat st{};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return st;
+}
+
+/**
+ * Sleep until the coarse clock has passed @p path's mtime and ctime:
+ * from then on, a verifying open may vouch for the current version.
+ */
+void
+waitOutRacyWindow(const std::string &path)
+{
+    const struct stat st = statOf(path);
+    for (;;) {
+        timespec now{};
+        ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
+        if (earlier(st.st_mtim, now) && earlier(st.st_ctim, now))
+            return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
+/**
+ * mixedPairs() with every sequence reversed: new bases, same lengths
+ * and encodings, hence the same file size.
+ */
+std::vector<SequencePair>
+mixedPairsReversed()
+{
+    std::vector<SequencePair> pairs = mixedPairs();
+    for (auto &pair : pairs) {
+        std::reverse(pair.pattern.begin(), pair.pattern.end());
+        std::reverse(pair.text.begin(), pair.text.end());
+    }
+    return pairs;
+}
+
+TEST(Store, ReopenOfAnUnchangedStoreSkipsTheScan)
+{
+    ScopedPath path("store_reopen.qzs");
+    const auto pairs = mixedPairs();
+    writeStore(path.str(), pairs);
+    waitOutRacyWindow(path.str());
+
+    EXPECT_TRUE(ReadStore::open(path.str())->scannedOnOpen());
+    const auto again = ReadStore::open(path.str());
+    EXPECT_FALSE(again->scannedOnOpen());
+    genomics::StoreOpenOptions noMmap;
+    noMmap.disableMmap = true;
+    const auto viaPread = ReadStore::open(path.str(), noMmap);
+    EXPECT_FALSE(viaPread->scannedOnOpen());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        EXPECT_EQ(again->pair(i).pattern, pairs[i].pattern);
+        EXPECT_EQ(viaPread->pair(i).text, pairs[i].text);
+    }
+}
+
+TEST(Store, SameSizeRewriteIsRescannedAndDecodesTheNewPairs)
+{
+    ScopedPath path("store_rewrite.qzs");
+    writeStore(path.str(), mixedPairs());
+    waitOutRacyWindow(path.str());
+    ReadStore::open(path.str());
+    ASSERT_FALSE(ReadStore::open(path.str())->scannedOnOpen());
+    const struct stat before = statOf(path.str());
+
+    const auto rewritten = mixedPairsReversed();
+    writeStore(path.str(), rewritten);
+    const struct stat after = statOf(path.str());
+    // Same key, same size: only the times and checksum tell.
+    ASSERT_EQ(after.st_ino, before.st_ino);
+    ASSERT_EQ(after.st_size, before.st_size);
+
+    const auto store = ReadStore::open(path.str());
+    EXPECT_TRUE(store->scannedOnOpen());
+    ASSERT_EQ(store->size(), rewritten.size());
+    for (std::size_t i = 0; i < rewritten.size(); ++i) {
+        EXPECT_EQ(store->pair(i).pattern, rewritten[i].pattern);
+        EXPECT_EQ(store->pair(i).text, rewritten[i].text);
+    }
+}
+
+TEST(Store, CorruptionAfterVerificationIsStillRejected)
+{
+    ScopedPath path("store_late_corrupt.qzs");
+    writeStore(path.str(), mixedPairs());
+    waitOutRacyWindow(path.str());
+    ReadStore::open(path.str());
+    ASSERT_FALSE(ReadStore::open(path.str())->scannedOnOpen());
+
+    // Same inode, size and header: only mtime/ctime changed.
+    corruptByte(path.str(), 120);
+    EXPECT_THROW(ReadStore::open(path.str()), FatalError);
+    EXPECT_THROW(ReadStore::open(path.str()), FatalError);
+}
+
+TEST(Store, VersionStampedInsideTheRacyWindowScansOnEveryOpen)
+{
+    ScopedPath path("store_racy.qzs");
+    writeStore(path.str(), mixedPairs());
+    // Stamp the mtime ahead of the clock, so every open's reading
+    // falls in or before the file's timestamp tick, as it does for
+    // an open right after a write.
+    timespec now{};
+    ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
+    const timespec times[2] = {now, {now.tv_sec + 3600, 0}};
+    ASSERT_EQ(::utimensat(AT_FDCWD, path.str().c_str(), times, 0), 0);
+
+    EXPECT_TRUE(ReadStore::open(path.str())->scannedOnOpen());
+    EXPECT_TRUE(ReadStore::open(path.str())->scannedOnOpen());
+}
+
+TEST(Store, SkippingVerificationNeitherScansNorVouches)
+{
+    ScopedPath path("store_lax.qzs");
+    writeStore(path.str(), mixedPairs());
+    waitOutRacyWindow(path.str());
+    genomics::StoreOpenOptions lax;
+    lax.verifyChecksum = false;
+
+    // A lax open records nothing: the next verifying open scans.
+    EXPECT_FALSE(ReadStore::open(path.str(), lax)->scannedOnOpen());
+    EXPECT_TRUE(ReadStore::open(path.str())->scannedOnOpen());
+    // A lax open after verification still skips the scan.
+    EXPECT_FALSE(ReadStore::open(path.str(), lax)->scannedOnOpen());
+
+    corruptByte(path.str(), 120);
+    waitOutRacyWindow(path.str());
+    EXPECT_NO_THROW(ReadStore::open(path.str(), lax));
+    EXPECT_THROW(ReadStore::open(path.str()), FatalError);
+}
+
+TEST(Store, ConcurrentOpensDecodeTheVerifiedVersion)
+{
+    ScopedPath path("store_concurrent.qzs");
+    const auto pairs = mixedPairs();
+    writeStore(path.str(), pairs);
+    waitOutRacyWindow(path.str());
+
+    std::vector<std::thread> threads;
+    std::vector<int> mismatches(4, 0);
+    for (std::size_t t = 0; t < mismatches.size(); ++t)
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 25; ++round) {
+                const auto store = ReadStore::open(path.str());
+                for (std::size_t i = 0; i < pairs.size(); ++i)
+                    mismatches[t] +=
+                        store->pair(i).text != pairs[i].text;
+            }
+        });
+    for (auto &thread : threads)
+        thread.join();
+    for (const int count : mismatches)
+        EXPECT_EQ(count, 0);
+    EXPECT_FALSE(ReadStore::open(path.str())->scannedOnOpen());
 }
 
 TEST(Store, RejectsTruncation)

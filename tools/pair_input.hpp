@@ -54,7 +54,7 @@ class PairInput
         PairInput input;
         const genomics::StoreTarget parsed =
             genomics::parseStoreTarget(target);
-        input.store_ = genomics::openStoreShared(parsed.path);
+        input.store_ = genomics::ReadStore::open(parsed.path);
         fatal_if(parsed.from > input.store_->size(),
                  "store range starts at pair {} but '{}' holds only "
                  "{} pair(s)",

@@ -41,6 +41,9 @@
  *             (phase_mem_ns, phase_pipeline_ns,
  *             phase_functional_simd_ns, phase_functional_scalar_ns)
  *
+ * Exit status: 0 on success, 1 when a cell failed or the input was
+ * rejected (one "fatal:" line on stderr), 2 on an internal error.
+ *
  * Every run record also names the resolved host-SIMD backend
  * ("backend"/"compiler"/"simd_flags"), so throughput rows from
  * different machines or QZ_HOST_SIMD settings stay comparable.
@@ -302,10 +305,8 @@ writeRuns(const std::string &path, const std::string &record,
     std::cout << "wrote " << path << "\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runPerf(int argc, char **argv)
 {
     using namespace quetzal;
     cli::Args args(argc, argv);
@@ -313,16 +314,17 @@ main(int argc, char **argv)
     const bool tiny = args.has("tiny");
     const bool kernels = args.has("kernels");
     const double scale = args.getDouble("scale", 1.0);
-    const unsigned threads =
-        static_cast<unsigned>(args.getInt("threads", 1));
-    const unsigned repeat =
-        static_cast<unsigned>(args.getInt("repeat", 1));
+    const long threadsOpt = args.getInt("threads", 1);
+    const long repeatOpt = args.getInt("repeat", 1);
+    fatal_if(threadsOpt < 1, "--threads must be at least 1");
+    fatal_if(repeatOpt < 1, "--repeat must be at least 1");
+    const auto threads = static_cast<unsigned>(threadsOpt);
+    const auto repeat = static_cast<unsigned>(repeatOpt);
     const std::string label = args.get("label", "current");
     const std::string outPath = args.get("out", "BENCH_hostperf.json");
     const std::string metricsPath = args.get("metrics");
     const bool phase = args.has("phase");
     const std::string storeTarget = args.get("store");
-    fatal_if(repeat == 0, "--repeat must be at least 1");
     fatal_if(tiny && kernels, "--tiny and --kernels are exclusive");
     fatal_if(!storeTarget.empty() && (tiny || kernels),
              "--store is exclusive with --tiny/--kernels");
@@ -343,7 +345,7 @@ main(int argc, char **argv)
     if (!storeTarget.empty()) {
         const genomics::StoreTarget target =
             genomics::parseStoreTarget(storeTarget);
-        auto store = genomics::openStoreShared(target.path);
+        auto store = genomics::ReadStore::open(target.path);
         fatal_if(target.from > store->size(),
                  "store range starts at pair {} but '{}' holds only "
                  "{} pair(s)",
@@ -466,4 +468,19 @@ main(int argc, char **argv)
                   << "\n";
     }
     return outcome.ok() ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // fatal() and panic() have already printed their diagnostic line.
+    try {
+        return runPerf(argc, argv);
+    } catch (const quetzal::FatalError &) {
+        return 1;
+    } catch (const quetzal::PanicError &) {
+        return 2;
+    }
 }
