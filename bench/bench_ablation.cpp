@@ -33,10 +33,8 @@ longRead(std::size_t length, double error, std::uint64_t seed)
     return sim.generatePairs(1).front();
 }
 
-} // namespace
-
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::Variant;
@@ -145,4 +143,12 @@ main()
                "cost, bounded by the 32.7 kbp QBUFFER capacity.\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

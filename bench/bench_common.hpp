@@ -7,7 +7,7 @@
  * cells on the batch engine, and prints the same rows/series the
  * paper reports.
  *
- * Environment knobs:
+ * Environment knobs (an unset or empty variable takes its default):
  *  - QZ_BENCH_SCALE   dataset scale (default 1.0; 0.2 quick, 4 long)
  *  - QZ_BENCH_THREADS harness workers (default hardware_concurrency)
  *  - QZ_BENCH_JSON    dump the RunResult rows as JSON: a path, or "-"
@@ -28,53 +28,77 @@
  *                     default so reports stay byte-identical across
  *                     machines and serial/parallel/sharded runs
  *                     (docs/SIMULATOR.md, "Host performance")
+ *
+ * QZ_BENCH_SCALE and QZ_BENCH_THREADS are parsed strictly: the whole
+ * value must be a finite number > 0 (a positive integer for threads),
+ * so "abc", "2x", "0", "-1" or "inf" is a fatal() naming the variable
+ * and the value. A malformed QZ_BENCH_SHARD is fatal too. Every bench
+ * main() runs under guardedMain() (common/logging.hpp), so a fatal()
+ * exits 1 and a panic() exits 2, each after its single
+ * "fatal:"/"panic:" line, never an abort.
  */
 #ifndef QUETZAL_BENCH_BENCH_COMMON_HPP
 #define QUETZAL_BENCH_BENCH_COMMON_HPP
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "../tools/perf_matrix.hpp"
 #include "algos/batch.hpp"
 #include "algos/report.hpp"
 #include "algos/runner.hpp"
+#include "common/logging.hpp"
 #include "common/table.hpp"
 #include "common/threadpool.hpp"
 #include "genomics/datasets.hpp"
-#include "genomics/pairsource.hpp"
-#include "genomics/protein.hpp"
-#include "genomics/store.hpp"
 
 namespace quetzal::bench {
+
+/**
+ * The value of environment variable @p name as a finite number > 0
+ * (a whole one that fits an unsigned when @p integral), or
+ * @p fallback when it is unset or empty. Anything else, including
+ * trailing garbage, is a fatal() naming the variable and the value.
+ */
+inline double
+envNumber(const char *name, double fallback, bool integral)
+{
+    const char *env = std::getenv(name);
+    if (!env || !*env)
+        return fallback;
+    char *end = nullptr;
+    const double value = std::strtod(env, &end);
+    const bool ok =
+        end != env && *end == '\0' && std::isfinite(value) &&
+        value > 0 &&
+        (!integral ||
+         (value == std::floor(value) &&
+          value <= std::numeric_limits<unsigned>::max()));
+    fatal_if(!ok, "{}='{}' is not a positive {}", name, env,
+             integral ? "integer" : "number");
+    return value;
+}
 
 /** Dataset scale factor from QZ_BENCH_SCALE (default 1.0). */
 inline double
 benchScale()
 {
-    if (const char *env = std::getenv("QZ_BENCH_SCALE")) {
-        const double scale = std::atof(env);
-        if (scale > 0)
-            return scale;
-    }
-    return 1.0;
+    return envNumber("QZ_BENCH_SCALE", 1.0, false);
 }
 
 /** Harness worker count from QZ_BENCH_THREADS (default: all cores). */
 inline unsigned
 benchThreads()
 {
-    if (const char *env = std::getenv("QZ_BENCH_THREADS")) {
-        const long n = std::atol(env);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-        warn("ignoring QZ_BENCH_THREADS='{}' (want a positive integer)",
-             env);
-    }
-    return ThreadPool::hardwareThreads();
+    return static_cast<unsigned>(envNumber(
+        "QZ_BENCH_THREADS", ThreadPool::hardwareThreads(), true));
 }
 
 /** Print the experiment banner with the Table I system summary. */
@@ -86,27 +110,24 @@ banner(const std::string &title)
         std::cout << algos::workloadListing();
         std::exit(0);
     }
+    // Parse the knobs before printing so a bad value leaves no
+    // half-written banner behind.
+    const double scale = benchScale();
+    const unsigned threads = benchThreads();
     std::cout << "==================================================\n"
               << title << "\n"
               << "Simulated system (Table I): 2.0 GHz A64FX-like, "
                  "512-bit SVE,\n"
               << "  L1D 64KB/8w lt=4, L2 8MB/16w lt=37, HBM2; "
                  "QUETZAL 2x8KB QBUFFERs\n"
-              << "Dataset scale: " << benchScale()
-              << " (QZ_BENCH_SCALE), harness threads: "
-              << benchThreads() << " (QZ_BENCH_THREADS)\n"
+              << "Dataset scale: " << scale
+              << " (QZ_BENCH_SCALE), harness threads: " << threads
+              << " (QZ_BENCH_THREADS)\n"
               << "==================================================\n";
 }
 
 /** Shared-ownership dataset handle for batch cells. */
 using DatasetPtr = std::shared_ptr<const genomics::PairDataset>;
-
-/**
- * Shared-ownership streaming source for batch cells. Cells hold
- * sources; a DatasetPtr is the zero-copy in-RAM special case the
- * engine wraps automatically.
- */
-using SourcePtr = std::shared_ptr<const genomics::PairSource>;
 
 /** Materialize a catalog dataset behind a shared handle. */
 inline DatasetPtr
@@ -114,55 +135,6 @@ makeDatasetPtr(std::string_view name, double scale = benchScale())
 {
     return std::make_shared<const genomics::PairDataset>(
         genomics::makeDataset(name, scale));
-}
-
-/**
- * A catalog dataset as a bounded-memory generator stream — the pairs
- * are byte-identical to makeDatasetPtr()'s, so results (and
- * checkpoints) are interchangeable between the two.
- */
-inline SourcePtr
-makeSourcePtr(std::string_view name, double scale = benchScale())
-{
-    return std::make_shared<genomics::GeneratorPairSource>(name,
-                                                           scale);
-}
-
-/** A read-store range (`FILE[:FROM-TO]`, docs/STORE.md) as a source. */
-inline SourcePtr
-makeStoreSourcePtr(const std::string &target)
-{
-    return SourcePtr(genomics::openStoreSource(
-        genomics::parseStoreTarget(target)));
-}
-
-/** RunOptions for one verification-free bench cell. */
-inline algos::RunOptions
-cellOptions(algos::Variant variant,
-            std::size_t maxLen = ~std::size_t{0},
-            genomics::AlphabetKind alphabet = genomics::AlphabetKind::Dna,
-            unsigned qzPorts = 8)
-{
-    algos::RunOptions options;
-    options.variant = variant;
-    options.maxLen = maxLen;
-    options.alphabet = alphabet;
-    options.verify = false; // the test suite covers correctness
-    if (algos::needsQuetzal(variant))
-        options.system = sim::SystemParams::withQuetzal(qzPorts);
-    return options;
-}
-
-/** Run one algorithm/variant/dataset cell without verification. */
-inline algos::RunResult
-runCell(algos::AlgoKind kind, const genomics::PairDataset &dataset,
-        algos::Variant variant,
-        std::size_t maxLen = ~std::size_t{0},
-        genomics::AlphabetKind alphabet = genomics::AlphabetKind::Dna,
-        unsigned qzPorts = 8)
-{
-    return algos::runAlgorithm(
-        kind, dataset, cellOptions(variant, maxLen, alphabet, qzPorts));
 }
 
 /**
@@ -181,63 +153,28 @@ class CellBatch
             runner_.setCheckpoint(env);
     }
 
-    /** Queue a cell; @return its index into results(). */
+    /**
+     * Queue a cell of the registry workload named @p workload with
+     * perf::perfCellOptions(); @return its index into results().
+     */
     std::size_t
-    add(algos::AlgoKind kind, DatasetPtr dataset,
+    add(std::string_view workload, DatasetPtr dataset,
         algos::Variant variant, std::size_t maxLen = ~std::size_t{0},
         genomics::AlphabetKind alphabet = genomics::AlphabetKind::Dna,
         unsigned qzPorts = 8)
     {
-        return runner_.add(
-            kind, std::move(dataset),
-            cellOptions(variant, maxLen, alphabet, qzPorts));
+        return add(workload, std::move(dataset),
+                   perf::perfCellOptions(variant, maxLen, alphabet,
+                                         qzPorts));
     }
 
     /** Queue a cell with fully custom options. */
     std::size_t
-    add(algos::AlgoKind kind, DatasetPtr dataset,
+    add(std::string_view workload, DatasetPtr dataset,
         const algos::RunOptions &options)
     {
-        return runner_.add(kind, std::move(dataset), options);
-    }
-
-    /** Queue a registry workload's cell; @return its result index. */
-    std::size_t
-    add(const algos::Workload &workload, DatasetPtr dataset,
-        algos::Variant variant, unsigned qzPorts = 8)
-    {
-        return runner_.add(workload, std::move(dataset),
-                           cellOptions(variant, ~std::size_t{0},
-                                       genomics::AlphabetKind::Dna,
-                                       qzPorts));
-    }
-
-    /** Queue a registry workload's cell with fully custom options. */
-    std::size_t
-    add(const algos::Workload &workload, DatasetPtr dataset,
-        const algos::RunOptions &options)
-    {
-        return runner_.add(workload, std::move(dataset), options);
-    }
-
-    /** Queue a streaming-source cell (store range or generator). */
-    std::size_t
-    add(algos::AlgoKind kind, SourcePtr source,
-        algos::Variant variant, std::size_t maxLen = ~std::size_t{0},
-        genomics::AlphabetKind alphabet = genomics::AlphabetKind::Dna,
-        unsigned qzPorts = 8)
-    {
-        return runner_.add(
-            kind, std::move(source),
-            cellOptions(variant, maxLen, alphabet, qzPorts));
-    }
-
-    /** Streaming-source cell with fully custom options. */
-    std::size_t
-    add(const algos::Workload &workload, SourcePtr source,
-        const algos::RunOptions &options)
-    {
-        return runner_.add(workload, std::move(source), options);
+        return runner_.add(algos::workloadByName(workload),
+                           std::move(dataset), options);
     }
 
     /** Run all queued cells; callable once per fill. */
@@ -311,38 +248,6 @@ maybeWriteJson(const std::string &benchName,
     }
     out << json << "\n";
     std::cout << "wrote JSON results to " << env << "\n";
-}
-
-/**
- * Legacy overload for benches that only have the result rows: wrap
- * them in a shard-less outcome so every emitter shares one format.
- */
-inline void
-maybeWriteJson(const std::string &benchName,
-               const std::vector<algos::RunResult> &results)
-{
-    algos::BatchOutcome outcome;
-    outcome.results = results;
-    for (std::size_t i = 0; i < results.size(); ++i)
-        outcome.ownedCells.push_back(i);
-    maybeWriteJson(benchName, outcome);
-}
-
-/** Build the protein workload as a PairDataset (use case 4). */
-inline genomics::PairDataset
-proteinDataset(double scale)
-{
-    genomics::ProteinFamilyConfig config;
-    config.familyCount =
-        std::max<std::size_t>(1, static_cast<std::size_t>(2 * scale));
-    config.membersPerFamily = 4;
-    config.ancestorLength = 400;
-    genomics::PairDataset ds;
-    ds.name = "protein";
-    ds.readLength = config.ancestorLength;
-    ds.errorRate = config.divergence;
-    ds.pairs = genomics::proteinPairWorkload(config);
-    return ds;
 }
 
 } // namespace quetzal::bench

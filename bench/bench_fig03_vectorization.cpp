@@ -10,11 +10,12 @@
 
 #include <cmath>
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 3: VEC speedup over the scalar baseline");
 
@@ -24,19 +25,18 @@ main()
     bench::CellBatch batch;
     struct Row
     {
-        AlgoKind kind;
+        std::string algo;
         std::string dataset;
         bool longRead;
         std::size_t base, vec;
     };
     std::vector<Row> rows;
-    for (const AlgoKind kind :
-         {AlgoKind::Wfa, AlgoKind::SneakySnake}) {
+    for (const char *algo : {"WFA", "SS"}) {
         for (const auto &spec : genomics::datasetCatalog()) {
             const auto ds = bench::makeDatasetPtr(spec.name);
-            Row row{kind, spec.name, spec.longRead, 0, 0};
-            row.base = batch.add(kind, ds, Variant::Base);
-            row.vec = batch.add(kind, ds, Variant::Vec);
+            Row row{algo, spec.name, spec.longRead, 0, 0};
+            row.base = batch.add(algo, ds, Variant::Base);
+            row.vec = batch.add(algo, ds, Variant::Vec);
             rows.push_back(std::move(row));
         }
     }
@@ -48,8 +48,8 @@ main()
         const auto &base = batch[row.base];
         const auto &vec = batch[row.vec];
         const double s = algos::speedup(base, vec);
-        table.addRow({std::string(algos::algoName(row.kind)),
-                      row.dataset, std::to_string(base.cycles),
+        table.addRow({row.algo, row.dataset,
+                      std::to_string(base.cycles),
                       std::to_string(vec.cycles),
                       TextTable::num(s, 2) + "x"});
         if (row.longRead) {
@@ -71,4 +71,12 @@ main()
               << "x (paper ~2.5x)\n";
     bench::maybeWriteJson("fig03_vectorization", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

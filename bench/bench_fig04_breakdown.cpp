@@ -7,11 +7,12 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 4: execution-time breakdown of VEC "
                   "implementations");
@@ -22,17 +23,16 @@ main()
     bench::CellBatch batch;
     struct Row
     {
-        AlgoKind kind;
+        std::string algo;
         std::string dataset;
         std::size_t vec;
     };
     std::vector<Row> rows;
-    for (const AlgoKind kind :
-         {AlgoKind::Wfa, AlgoKind::BiWfa, AlgoKind::SneakySnake}) {
+    for (const char *algo : {"WFA", "BiWFA", "SS"}) {
         for (const auto &spec : genomics::datasetCatalog()) {
             const auto ds = bench::makeDatasetPtr(spec.name);
             rows.push_back(
-                {kind, spec.name, batch.add(kind, ds, Variant::Vec)});
+                {algo, spec.name, batch.add(algo, ds, Variant::Vec)});
         }
     }
     batch.run();
@@ -45,8 +45,8 @@ main()
                        100.0 * vec.stallCycles(kind) / total, 1) +
                    "%";
         };
-        table.addRow({std::string(algos::algoName(row.kind)),
-                      row.dataset, std::to_string(vec.cycles),
+        table.addRow({row.algo, row.dataset,
+                      std::to_string(vec.cycles),
                       pct(sim::StallKind::Frontend),
                       pct(sim::StallKind::Compute),
                       pct(sim::StallKind::Cache),
@@ -57,4 +57,12 @@ main()
                  "time, growing with sequence length.\n";
     bench::maybeWriteJson("fig04_breakdown", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

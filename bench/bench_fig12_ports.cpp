@@ -5,11 +5,12 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 12: QBUFFER read-port design-space sweep "
                   "(QUETZAL+C, normalized to QZ_1P)");
@@ -21,18 +22,17 @@ main()
     bench::CellBatch batch;
     struct Row
     {
-        AlgoKind kind;
+        std::string algo;
         std::string dataset;
         std::size_t cell[4];
     };
     std::vector<Row> rows;
-    for (const AlgoKind kind :
-         {AlgoKind::Wfa, AlgoKind::BiWfa, AlgoKind::SneakySnake}) {
+    for (const char *algo : {"WFA", "BiWFA", "SS"}) {
         for (const auto &spec : genomics::datasetCatalog()) {
             const auto ds = bench::makeDatasetPtr(spec.name);
-            Row row{kind, spec.name, {}};
+            Row row{algo, spec.name, {}};
             for (int i = 0; i < 4; ++i)
-                row.cell[i] = batch.add(kind, ds, Variant::QzC,
+                row.cell[i] = batch.add(algo, ds, Variant::QzC,
                                         ~std::size_t{0},
                                         genomics::AlphabetKind::Dna,
                                         ports[i]);
@@ -50,12 +50,20 @@ main()
                        2) +
                    "x";
         };
-        table.addRow({std::string(algos::algoName(row.kind)),
-                      row.dataset, rel(0), rel(1), rel(2), rel(3)});
+        table.addRow(
+            {row.algo, row.dataset, rel(0), rel(1), rel(2), rel(3)});
     }
     table.print(std::cout);
     std::cout << "\nPaper: performance rises with port count; QZ_8P "
                  "(2-cycle reads) is the chosen configuration.\n";
     bench::maybeWriteJson("fig12_ports", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

@@ -9,11 +9,12 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 13a: single-core speedup over the baseline");
 
@@ -23,72 +24,56 @@ main()
                      std::string(algos::variantName(Variant::QzC)),
                      "QZ/VEC", "QZ+C/VEC"});
 
-    // Phase 1: queue every cell of the figure on the batch engine.
+    // Phase 1: queue every cell of the figure on the batch engine,
+    // one row of tools/perf_matrix.hpp's Fig. 13a matrix at a time.
     bench::CellBatch batch;
     struct Row
     {
-        AlgoKind kind;
+        std::string algo;
         std::string dataset;
-        std::size_t base, vec, qz, qzc;
+        std::size_t cell[std::size(perf::kFig13aVariants)];
     };
     std::vector<Row> rows;
-
-    auto submit = [&](AlgoKind kind, const bench::DatasetPtr &ds,
-                      std::size_t maxLen,
-                      genomics::AlphabetKind alphabet) {
-        Row row{kind, ds->name, 0, 0, 0, 0};
-        row.base = batch.add(kind, ds, Variant::Base, maxLen, alphabet);
-        row.vec = batch.add(kind, ds, Variant::Vec, maxLen, alphabet);
-        row.qz = batch.add(kind, ds, Variant::Qz, maxLen, alphabet);
-        row.qzc = batch.add(kind, ds, Variant::QzC, maxLen, alphabet);
+    for (const perf::Fig13aRow &spec :
+         perf::fig13aRows(bench::benchScale())) {
+        Row row{std::string(spec.workload), spec.dataset->name, {}};
+        std::size_t i = 0;
+        for (const Variant variant : perf::kFig13aVariants)
+            row.cell[i++] = batch.add(spec.workload, spec.dataset,
+                                      variant, spec.maxLen,
+                                      spec.alphabet);
         rows.push_back(std::move(row));
-    };
-
-    const std::size_t classicCap = 1000;
-    for (const auto &spec : genomics::datasetCatalog()) {
-        const auto ds = bench::makeDatasetPtr(spec.name);
-        submit(AlgoKind::Wfa, ds, ~std::size_t{0},
-               genomics::AlphabetKind::Dna);
-        submit(AlgoKind::BiWfa, ds, ~std::size_t{0},
-               genomics::AlphabetKind::Dna);
-        submit(AlgoKind::SneakySnake, ds, ~std::size_t{0},
-               genomics::AlphabetKind::Dna);
-        submit(AlgoKind::Swg, ds, ~std::size_t{0},
-               genomics::AlphabetKind::Dna);
-        submit(AlgoKind::Nw, ds, classicCap,
-               genomics::AlphabetKind::Dna);
     }
-
-    // Use case 4: protein alignment (8-bit encoding).
-    const auto protein = std::make_shared<const genomics::PairDataset>(
-        bench::proteinDataset(bench::benchScale()));
-    submit(AlgoKind::Wfa, protein, ~std::size_t{0},
-           genomics::AlphabetKind::Protein);
-    submit(AlgoKind::SneakySnake, protein, ~std::size_t{0},
-           genomics::AlphabetKind::Protein);
 
     // Phase 2: run the whole matrix in parallel, then print in
     // submission order.
     batch.run();
     for (const Row &row : rows) {
-        const auto &base = batch[row.base];
-        const auto &vec = batch[row.vec];
-        const auto &qz = batch[row.qz];
-        const auto &qzc = batch[row.qzc];
+        const auto &base = batch[row.cell[0]];
+        const auto &vec = batch[row.cell[1]];
+        const auto &qz = batch[row.cell[2]];
+        const auto &qzc = batch[row.cell[3]];
         auto rel = [&](const algos::RunResult &r) {
             return TextTable::num(algos::speedup(base, r), 2) + "x";
         };
-        table.addRow({std::string(algos::algoName(row.kind)),
-                      row.dataset, rel(vec), rel(qz), rel(qzc),
+        table.addRow({row.algo, row.dataset, rel(vec), rel(qz), rel(qzc),
                       TextTable::num(algos::speedup(vec, qz), 2) + "x",
                       TextTable::num(algos::speedup(vec, qzc), 2) +
                           "x"});
     }
 
     table.print(std::cout);
-    std::cout << "\nNW is length-capped at " << classicCap
+    std::cout << "\nNW is length-capped at " << perf::kClassicCap
               << " bp (full-table DP; the paper likewise constrained "
                  "datasets for simulation time).\n";
     bench::maybeWriteJson("fig13a_singlecore", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

@@ -12,11 +12,12 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 13b: multicore scaling of QUETZAL+C "
                   "(shared L2 + HBM2 roofline)");
@@ -29,18 +30,17 @@ main()
     bench::CellBatch batch;
     struct Row
     {
-        AlgoKind kind;
+        std::string algo;
         std::string dataset;
         std::size_t cell[numCounts];
     };
     std::vector<Row> rows;
     const double dramPeakBpc =
         sim::SystemParams::withQuetzal().dram.peakBytesPerCycle;
-    for (const AlgoKind kind :
-         {AlgoKind::Wfa, AlgoKind::BiWfa, AlgoKind::SneakySnake}) {
+    for (const char *algo : {"WFA", "BiWFA", "SS"}) {
         for (const auto &spec : genomics::datasetCatalog()) {
             const auto ds = bench::makeDatasetPtr(spec.name);
-            Row row{kind, spec.name, {}};
+            Row row{algo, spec.name, {}};
             for (std::size_t i = 0; i < numCounts; ++i) {
                 algos::RunOptions options;
                 options.variant = Variant::QzC;
@@ -51,7 +51,7 @@ main()
                     std::max<std::uint64_t>(
                         options.system.l2.sizeBytes / counts[i],
                         256 * 1024);
-                row.cell[i] = batch.add(kind, ds, options);
+                row.cell[i] = batch.add(algo, ds, options);
             }
             rows.push_back(std::move(row));
         }
@@ -59,8 +59,7 @@ main()
     batch.run();
 
     for (const Row &row : rows) {
-        std::vector<std::string> out{
-            std::string(algos::algoName(row.kind)), row.dataset};
+        std::vector<std::string> out{row.algo, row.dataset};
         const std::uint64_t cycles1 = batch[row.cell[0]].cycles;
         double lastDemand = 0.0;
         for (std::size_t i = 0; i < numCounts; ++i) {
@@ -86,4 +85,12 @@ main()
                  "saturate.\n";
     bench::maybeWriteJson("fig13b_multicore", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

@@ -5,11 +5,12 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 14a: cache-hierarchy request reduction "
                   "(QUETZAL+C vs VEC)");
@@ -23,18 +24,17 @@ main()
     bench::CellBatch batch;
     struct Row
     {
-        AlgoKind kind;
+        std::string algo;
         std::string dataset;
         std::size_t vec, qzc;
     };
     std::vector<Row> rows;
-    for (const AlgoKind kind :
-         {AlgoKind::Wfa, AlgoKind::BiWfa, AlgoKind::SneakySnake}) {
+    for (const char *algo : {"WFA", "BiWFA", "SS"}) {
         for (const auto &spec : genomics::datasetCatalog()) {
             const auto ds = bench::makeDatasetPtr(spec.name);
-            rows.push_back({kind, spec.name,
-                            batch.add(kind, ds, Variant::Vec),
-                            batch.add(kind, ds, Variant::QzC)});
+            rows.push_back({algo, spec.name,
+                            batch.add(algo, ds, Variant::Vec),
+                            batch.add(algo, ds, Variant::QzC)});
         }
     }
     batch.run();
@@ -48,8 +48,8 @@ main()
                 : 100.0 *
                       (1.0 - static_cast<double>(qzc.memRequests) /
                                  static_cast<double>(vec.memRequests));
-        table.addRow({std::string(algos::algoName(row.kind)),
-                      row.dataset, std::to_string(vec.memRequests),
+        table.addRow({row.algo, row.dataset,
+                      std::to_string(vec.memRequests),
                       std::to_string(qzc.memRequests),
                       TextTable::num(reduction, 1) + "%"});
     }
@@ -59,4 +59,12 @@ main()
                  "updates the prefetcher handles.\n";
     bench::maybeWriteJson("fig14a_memreqs", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

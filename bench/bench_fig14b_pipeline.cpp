@@ -8,11 +8,12 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 14b: SS + WFA pipeline, 16 cores "
                   "(QUETZAL+C vs VEC)");
@@ -33,8 +34,8 @@ main()
             algos::mixWithDecoys(
                 genomics::makeDataset(spec.name, bench::benchScale())));
         rows.push_back({spec.name,
-                        batch.add(AlgoKind::SsWfa, ds, Variant::Vec),
-                        batch.add(AlgoKind::SsWfa, ds, Variant::QzC)});
+                        batch.add("SS+WFA", ds, Variant::Vec),
+                        batch.add("SS+WFA", ds, Variant::QzC)});
     }
     batch.run();
 
@@ -60,4 +61,12 @@ main()
                  "the four datasets.\n";
     bench::maybeWriteJson("fig14b_pipeline", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

@@ -11,11 +11,12 @@
 
 #include "gpu/gpu_model.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 15a: 16-core QUETZAL CPU vs GPU approaches "
                   "(alignments/second)");
@@ -41,8 +42,8 @@ main()
     for (const auto &spec : genomics::datasetCatalog()) {
         const auto ds = bench::makeDatasetPtr(spec.name);
         rows.push_back({spec.name, spec.readLength, spec.errorRate,
-                        batch.add(AlgoKind::Wfa, ds, Variant::QzC),
-                        batch.add(AlgoKind::Swg, ds, Variant::Qz)});
+                        batch.add("WFA", ds, Variant::QzC),
+                        batch.add("SW", ds, Variant::Qz)});
     }
     batch.run();
 
@@ -80,4 +81,12 @@ main()
               << " mm^2 (>10x a 16-core QUETZAL CPU slice).\n";
     bench::maybeWriteJson("fig15a_gpu", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

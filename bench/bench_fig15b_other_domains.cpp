@@ -19,8 +19,10 @@
 
 #include "algos/workload.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::Variant;
@@ -33,7 +35,7 @@ main()
     bench::CellBatch batch;
     struct KernelRow
     {
-        const algos::Workload *workload;
+        std::string name;
         std::size_t cell[3]; // Base, Vec, Qz
     };
     std::vector<KernelRow> rows;
@@ -42,10 +44,10 @@ main()
         const auto dataset =
             std::make_shared<const genomics::PairDataset>(
                 workload.makeDataset(name, scale));
-        KernelRow row{&workload, {}};
+        KernelRow row{name, {}};
         int i = 0;
         for (Variant v : {Variant::Base, Variant::Vec, Variant::Qz})
-            row.cell[i++] = batch.add(workload, dataset, v);
+            row.cell[i++] = batch.add(name, dataset, v);
         rows.push_back(row);
     }
     batch.run();
@@ -66,8 +68,7 @@ main()
         const algos::RunResult &base = batch[row.cell[0]];
         const algos::RunResult &vec = batch[row.cell[1]];
         const algos::RunResult &qz = batch[row.cell[2]];
-        table.addRow({std::string(row.workload->name()),
-                      std::to_string(base.cycles),
+        table.addRow({row.name, std::to_string(base.cycles),
                       std::to_string(vec.cycles),
                       std::to_string(qz.cycles), bar(base, vec),
                       bar(vec, qz)});
@@ -81,4 +82,12 @@ main()
                  "vectorized kernels.\n";
     bench::maybeWriteJson("fig15b_other_domains", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

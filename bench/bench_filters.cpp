@@ -15,8 +15,10 @@
 #include "algos/sneakysnake.hpp"
 #include "quetzal/qzunit.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::Variant;
@@ -79,4 +81,12 @@ main()
     std::cout << "\nBoth filters run on identical hardware; switching "
                  "algorithms is a recompile, not a respin.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

@@ -4,8 +4,10 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     bench::banner("Table II: input dataset characteristics");
@@ -24,9 +26,17 @@ main()
     }
     table.print(std::cout);
 
-    const auto protein = bench::proteinDataset(bench::benchScale());
+    const auto protein = perf::perfProteinDataset(bench::benchScale());
     std::cout << "\nProtein workload (use case 4, BAliBase-style): "
               << protein.size() << " pairwise alignments of ~"
               << protein.readLength << " residues\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

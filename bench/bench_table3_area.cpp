@@ -7,8 +7,10 @@
 
 #include "quetzal/area_model.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     bench::banner("Table III: QUETZAL area/power (7nm, analytic model "
@@ -28,4 +30,12 @@ main()
     std::cout << "\nPaper anchors: QZ_8P = 0.097 mm^2, 746 uW, 1.41% "
                  "of the A64FX SoC.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

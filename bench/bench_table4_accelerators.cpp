@@ -14,19 +14,19 @@
 
 #include "quetzal/area_model.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Table IV: accelerator comparison (PGCUPS)");
 
     // Peak throughput: QUETZAL+C WFA on the long-read dataset.
     bench::CellBatch batch;
     const auto ds = bench::makeDatasetPtr("30Kbp");
-    const std::size_t wfaCell =
-        batch.add(AlgoKind::Wfa, ds, Variant::QzC);
+    const std::size_t wfaCell = batch.add("WFA", ds, Variant::QzC);
     batch.run();
     const auto &wfa = batch[wfaCell];
     std::uint64_t equivCells = 0;
@@ -61,4 +61,12 @@ main()
                  "one programmable datapath at ~1.4% SoC overhead.\n";
     bench::maybeWriteJson("table4_accelerators", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::guardedMain(runBench);
 }

@@ -10,7 +10,7 @@
  */
 #include <iostream>
 
-#include "algos/runner.hpp"
+#include "algos/workload.hpp"
 #include "common/table.hpp"
 #include "genomics/datasets.hpp"
 
@@ -18,7 +18,6 @@ int
 main()
 {
     using namespace quetzal;
-    using algos::AlgoKind;
     using algos::Variant;
 
     // Candidate set: 250 bp reads where half the windows are decoys
@@ -29,14 +28,14 @@ main()
               << " candidate pairs of " << dataset.readLength
               << " bp\n\n";
 
+    const algos::Workload &pipeline = algos::workloadByName("SS+WFA");
     TextTable table({"Variant", "Accepted", "Cycles", "Speedup"});
     std::uint64_t baseCycles = 0;
     for (Variant v : {Variant::Base, Variant::Vec, Variant::QzC}) {
         algos::RunOptions options;
         options.variant = v;
         options.verify = v == Variant::QzC; // spot-check one variant
-        const auto r =
-            algos::runAlgorithm(AlgoKind::SsWfa, dataset, options);
+        const auto r = pipeline.run(dataset, options);
         if (v == Variant::Base)
             baseCycles = r.cycles;
         table.addRow({std::string(algos::variantName(v)),

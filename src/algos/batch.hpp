@@ -5,7 +5,7 @@
  * per-cell fault isolation, bounded retries, checkpoint/resume, and
  * deterministic fault injection (docs/ROBUSTNESS.md).
  *
- * Each cell is independent by construction — runAlgorithm() builds a
+ * Each cell is independent by construction — Workload::run() builds a
  * fresh simulated core per call and datasets are read-only — so the
  * matrix is embarrassingly parallel. Results come back in submission
  * order regardless of completion order, and every cell is bitwise
@@ -60,23 +60,6 @@ struct BatchCell
         : BatchCell(workload_,
                     std::make_shared<genomics::DatasetPairSource>(
                         std::move(dataset_)),
-                    std::move(options_))
-    {
-    }
-
-    /** Legacy construction from the AlgoKind enum. */
-    BatchCell(AlgoKind kind,
-              std::shared_ptr<const genomics::PairDataset> dataset_,
-              RunOptions options_)
-        : BatchCell(workloadFor(kind), std::move(dataset_),
-                    std::move(options_))
-    {
-    }
-
-    BatchCell(AlgoKind kind,
-              std::shared_ptr<const genomics::PairSource> source_,
-              RunOptions options_)
-        : BatchCell(workloadFor(kind), std::move(source_),
                     std::move(options_))
     {
     }
@@ -248,24 +231,6 @@ class BatchRunner
         const RunOptions &options)
     {
         return add(BatchCell{workload, std::move(source), options});
-    }
-
-    /** Legacy convenience overload keyed by AlgoKind. */
-    std::size_t
-    add(AlgoKind kind,
-        std::shared_ptr<const genomics::PairDataset> dataset,
-        const RunOptions &options)
-    {
-        return add(BatchCell{kind, std::move(dataset), options});
-    }
-
-    /** Streaming-source overload keyed by AlgoKind. */
-    std::size_t
-    add(AlgoKind kind,
-        std::shared_ptr<const genomics::PairSource> source,
-        const RunOptions &options)
-    {
-        return add(BatchCell{kind, std::move(source), options});
     }
 
     std::size_t size() const { return cells_.size(); }

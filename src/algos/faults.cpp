@@ -311,13 +311,6 @@ cellKey(std::string_view workload,
 }
 
 std::string
-cellKey(AlgoKind kind, const genomics::PairDataset &dataset,
-        const RunOptions &options)
-{
-    return cellKey(algoName(kind), dataset, options);
-}
-
-std::string
 cellHash(std::string_view workload, const genomics::PairDataset &dataset,
          const RunOptions &options)
 {
@@ -359,13 +352,6 @@ cellHash(std::string_view workload,
         }
     mixSystem(fnv, options.system);
     return hexDigest(fnv.value());
-}
-
-std::string
-cellHash(AlgoKind kind, const genomics::PairDataset &dataset,
-         const RunOptions &options)
-{
-    return cellHash(algoName(kind), dataset, options);
 }
 
 } // namespace quetzal::algos

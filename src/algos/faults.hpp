@@ -142,11 +142,6 @@ std::string cellKey(std::string_view workload,
                     const genomics::PairDataset &dataset,
                     const RunOptions &options);
 
-/** Legacy overload keyed by the AlgoKind's registered name. */
-std::string cellKey(AlgoKind kind,
-                    const genomics::PairDataset &dataset,
-                    const RunOptions &options);
-
 /**
  * cellKey() over a streaming source. Byte-identical to the dataset
  * overload for any source that yields the same pairs — checkpoints
@@ -166,11 +161,6 @@ std::string cellKey(std::string_view workload,
  * changes which process runs a cell, never the cell's identity.
  */
 std::string cellHash(std::string_view workload,
-                     const genomics::PairDataset &dataset,
-                     const RunOptions &options);
-
-/** Legacy overload keyed by the AlgoKind's registered name. */
-std::string cellHash(AlgoKind kind,
                      const genomics::PairDataset &dataset,
                      const RunOptions &options);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #include "algos/biwfa.hpp"
 #include "algos/nw.hpp"
@@ -38,13 +37,9 @@ esizeFor(genomics::AlphabetKind alphabet)
 class GenomicsWorkload : public Workload
 {
   public:
-    GenomicsWorkload(const char *name, AlgoKind kind)
-        : name_(name), kind_(kind)
-    {
-    }
+    explicit GenomicsWorkload(const char *name) : name_(name) {}
 
     std::string_view name() const override { return name_; }
-    std::optional<AlgoKind> kind() const override { return kind_; }
 
     std::vector<std::string>
     datasetNames() const override
@@ -155,13 +150,12 @@ class GenomicsWorkload : public Workload
 
   private:
     const char *name_;
-    AlgoKind kind_;
 };
 
 class WfaWorkload final : public GenomicsWorkload
 {
   public:
-    WfaWorkload() : GenomicsWorkload("WFA", AlgoKind::Wfa) {}
+    WfaWorkload() : GenomicsWorkload("WFA") {}
 
   protected:
     void
@@ -194,7 +188,7 @@ class WfaWorkload final : public GenomicsWorkload
 class BiWfaWorkload final : public GenomicsWorkload
 {
   public:
-    BiWfaWorkload() : GenomicsWorkload("BiWFA", AlgoKind::BiWfa) {}
+    BiWfaWorkload() : GenomicsWorkload("BiWFA") {}
 
   protected:
     void
@@ -225,10 +219,7 @@ class BiWfaWorkload final : public GenomicsWorkload
 class SneakySnakeWorkload final : public GenomicsWorkload
 {
   public:
-    SneakySnakeWorkload()
-        : GenomicsWorkload("SS", AlgoKind::SneakySnake)
-    {
-    }
+    SneakySnakeWorkload() : GenomicsWorkload("SS") {}
 
   protected:
     void
@@ -252,7 +243,7 @@ class SneakySnakeWorkload final : public GenomicsWorkload
 class NwWorkload final : public GenomicsWorkload
 {
   public:
-    NwWorkload() : GenomicsWorkload("NW", AlgoKind::Nw) {}
+    NwWorkload() : GenomicsWorkload("NW") {}
 
   protected:
     void
@@ -280,7 +271,7 @@ class NwWorkload final : public GenomicsWorkload
 class SwgWorkload final : public GenomicsWorkload
 {
   public:
-    SwgWorkload() : GenomicsWorkload("SW", AlgoKind::Swg) {}
+    SwgWorkload() : GenomicsWorkload("SW") {}
 
   protected:
     void
@@ -310,7 +301,7 @@ class SwgWorkload final : public GenomicsWorkload
 class SsWfaWorkload final : public GenomicsWorkload
 {
   public:
-    SsWfaWorkload() : GenomicsWorkload("SS+WFA", AlgoKind::SsWfa) {}
+    SsWfaWorkload() : GenomicsWorkload("SS+WFA") {}
 
   protected:
     void
@@ -363,12 +354,6 @@ anchorAlgoWorkloads()
 
 } // namespace detail
 
-std::string_view
-algoName(AlgoKind kind)
-{
-    return workloadFor(kind).name();
-}
-
 PairDataset
 mixWithDecoys(const PairDataset &dataset)
 {
@@ -380,13 +365,6 @@ mixWithDecoys(const PairDataset &dataset)
         mixed.pairs[i].trueEdits = -1;
     }
     return mixed;
-}
-
-RunResult
-runAlgorithm(AlgoKind kind, const PairDataset &dataset,
-             const RunOptions &options)
-{
-    return workloadFor(kind).run(dataset, options);
 }
 
 } // namespace quetzal::algos

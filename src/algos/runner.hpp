@@ -1,10 +1,11 @@
 /**
  * @file
- * Experiment runner: executes one (algorithm, variant, dataset) cell
- * of the paper's evaluation matrix on a fresh simulated core and
- * reports cycles, instruction counts, stall breakdown, memory traffic,
- * and functional agreement with the untimed reference — the common
- * harness underneath every bench binary and the integration tests.
+ * Experiment runner types: the knobs (RunOptions) and the report
+ * (RunResult) of one (workload, variant, dataset) cell of the paper's
+ * evaluation matrix — cycles, instruction counts, stall breakdown,
+ * memory traffic, and functional agreement with the untimed
+ * reference. A cell runs through its registry workload
+ * (algos/workload.hpp): workloadByName(name).run(dataset, options).
  */
 #ifndef QUETZAL_ALGOS_RUNNER_HPP
 #define QUETZAL_ALGOS_RUNNER_HPP
@@ -13,7 +14,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <string_view>
 
 #include "algos/variant.hpp"
 #include "algos/wfa_engine.hpp"
@@ -22,24 +22,6 @@
 #include "sim/context.hpp"
 
 namespace quetzal::algos {
-
-/** Which algorithm runs. */
-enum class AlgoKind
-{
-    Wfa,
-    BiWfa,
-    SneakySnake,
-    Nw,
-    Swg,
-    SsWfa, //!< SneakySnake filter + WFA alignment pipeline (Fig. 14b)
-};
-
-/**
- * Display name matching the paper — the registered workload's name
- * (see algos/workload.hpp; the registry is the single source of
- * truth for display names).
- */
-std::string_view algoName(AlgoKind kind);
 
 /** Runner knobs. */
 struct RunOptions
@@ -146,15 +128,6 @@ struct RunResult
                          static_cast<double>(cycles);
     }
 };
-
-/**
- * Run @p kind / options over @p dataset on a fresh simulated core.
- * Thin wrapper over the workload registry (algos/workload.hpp):
- * dispatch is workloadFor(kind).run(dataset, options).
- */
-RunResult runAlgorithm(AlgoKind kind,
-                       const genomics::PairDataset &dataset,
-                       const RunOptions &options);
 
 /**
  * Replace the text of every second pair with an unrelated window so

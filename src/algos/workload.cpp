@@ -108,16 +108,6 @@ WorkloadRegistry::byName(std::string_view name) const
     fatal("unknown workload '{}' (valid names: {})", name, valid);
 }
 
-const Workload &
-WorkloadRegistry::byKind(AlgoKind kind) const
-{
-    for (const auto &workload : workloads_)
-        if (workload->kind() == kind)
-            return *workload;
-    panic("no workload registered for AlgoKind {}",
-          static_cast<int>(kind));
-}
-
 std::vector<const Workload *>
 WorkloadRegistry::all() const
 {
@@ -138,12 +128,6 @@ const Workload &
 workloadByName(std::string_view name)
 {
     return WorkloadRegistry::instance().byName(name);
-}
-
-const Workload &
-workloadFor(AlgoKind kind)
-{
-    return WorkloadRegistry::instance().byKind(kind);
 }
 
 std::string

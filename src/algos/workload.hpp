@@ -7,12 +7,12 @@
  * interface.
  *
  * Workloads self-register at static-initialization time via
- * WorkloadRegistrar, so cell dispatch everywhere (runAlgorithm, the
- * batch engine, the bench binaries, the CLI tools) is a registry
- * lookup instead of a switch ladder, and every workload flows through
- * BatchRunner with the full RunResult contract (cycles, stall
- * breakdown, memory traffic, outputs_match) plus threads, JSON,
- * checkpoint/resume, retries, and fault isolation for free.
+ * WorkloadRegistrar, so cell dispatch everywhere (the batch engine,
+ * the bench binaries, the CLI tools) is a registry lookup instead of
+ * a switch ladder, and every workload flows through BatchRunner with
+ * the full RunResult contract (cycles, stall breakdown, memory
+ * traffic, outputs_match) plus threads, JSON, checkpoint/resume,
+ * retries, and fault isolation for free.
  *
  * Registration happens during static init (single-threaded) and the
  * registry is read-only afterwards, so lookups need no locking.
@@ -50,9 +50,6 @@ class Workload
 
     /** Display name matching the paper (the single source of truth). */
     virtual std::string_view name() const = 0;
-
-    /** Legacy enum identity; nullopt for non-AlgoKind workloads. */
-    virtual std::optional<AlgoKind> kind() const { return std::nullopt; }
 
     /** Timed variants this workload supports (default: all four). */
     virtual std::vector<Variant> variants() const;
@@ -108,9 +105,6 @@ class WorkloadRegistry
     /** find(), but a miss is fatal() listing every valid name. */
     const Workload &byName(std::string_view name) const;
 
-    /** The workload whose kind() is @p kind; fatal when unmapped. */
-    const Workload &byKind(AlgoKind kind) const;
-
     /** Every registered workload, sorted by name (deterministic). */
     std::vector<const Workload *> all() const;
 
@@ -130,9 +124,6 @@ struct WorkloadRegistrar
 
 /** Registry lookup by display name; fatal() lists valid names on a miss. */
 const Workload &workloadByName(std::string_view name);
-
-/** Registry lookup for a legacy AlgoKind. */
-const Workload &workloadFor(AlgoKind kind);
 
 /**
  * Human-readable catalog (for --list / QZ_BENCH_LIST=1): one line per

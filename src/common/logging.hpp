@@ -127,6 +127,24 @@ fatal_if(bool cond, std::string_view fmt, Args &&...args)
         fatal(fmt, std::forward<Args>(args)...);
 }
 
+/**
+ * Run @p body as a process's main(): its result is the exit code, a
+ * fatal() exits 1 and a panic() exits 2. Both have already printed
+ * their one diagnostic line, so nothing more is printed.
+ */
+template <typename Body>
+int
+guardedMain(Body &&body)
+{
+    try {
+        return body();
+    } catch (const FatalError &) {
+        return 1;
+    } catch (const PanicError &) {
+        return 2;
+    }
+}
+
 } // namespace quetzal
 
 #endif // QUETZAL_COMMON_LOGGING_HPP

@@ -257,12 +257,12 @@ QzUnit::stageSequence2bit(QzSel sel, std::string_view seq)
              seq.size(), buf.capacityElements(ElementSize::Bits2));
     // 64 chars per iteration: one contiguous vector load feeds one
     // qzencode, filling two consecutive 64-bit SRAM words.
-    char block[64];
+    char *block = stagingBlock(sel);
     for (std::size_t off = 0, word = 0; off < seq.size();
          off += 64, word += 2) {
         const std::size_t chunk = std::min<std::size_t>(64,
                                                         seq.size() - off);
-        std::memset(block, 'A', sizeof(block));
+        std::memset(block, 'A', kStagingBlockBytes);
         std::memcpy(block, seq.data() + off, chunk);
         const VReg chars =
             vpu_.load(/*site=*/0x9100 + static_cast<int>(sel), block, 64);
@@ -279,10 +279,11 @@ QzUnit::stageSequence8bit(QzSel sel, std::string_view seq)
              seq.size(), buf.capacityElements(ElementSize::Bits8));
     // 64 chars per iteration: vector load + direct-mode write of eight
     // consecutive words (one per bank: single-cycle, conflict-free).
+    char *block = stagingBlock(sel);
     for (std::size_t off = 0; off < seq.size(); off += 64) {
         const std::size_t chunk = std::min<std::size_t>(64,
                                                         seq.size() - off);
-        char block[64] = {};
+        std::memset(block, 0, kStagingBlockBytes);
         std::memcpy(block, seq.data() + off, chunk);
         const VReg chars =
             vpu_.load(/*site=*/0x9200 + static_cast<int>(sel), block, 64);

@@ -13,6 +13,8 @@
 #ifndef QUETZAL_QUETZAL_QZUNIT_HPP
 #define QUETZAL_QUETZAL_QZUNIT_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -152,6 +154,18 @@ class QzUnit
     void checkIndex(QzSel sel, std::uint64_t elemIdx,
                     bool window) const;
 
+    /** Bytes one staging step loads: 64 characters. */
+    static constexpr std::size_t kStagingBlockBytes = 64;
+
+    /** Where the staging helpers assemble buffer @p sel's next 64
+     *  characters before the vector load. */
+    char *
+    stagingBlock(QzSel sel)
+    {
+        return staging_.data() + kStagingBlockBytes / 2 *
+                                     static_cast<std::size_t>(sel);
+    }
+
     /** Readiness tag of the most recent write to buffer @p sel. */
     sim::Tag &writeTag(QzSel sel)
     {
@@ -166,6 +180,16 @@ class QzUnit
     std::uint64_t eb0_ = 0;
     std::uint64_t eb1_ = 0;
     ElementSize esiz_ = ElementSize::Bits2;
+    /**
+     * Host memory the staging loads read from. First-touch address
+     * translation keys on host paragraphs, so this layout is part of
+     * every QUETZAL cycle count; owning it (rather than a stack
+     * array) keeps the count independent of the compiler's frame
+     * layout and inlining. Buf1's block starts half-way into Buf0's,
+     * sharing two of its four paragraphs: the layout the golden
+     * snapshots were recorded with.
+     */
+    alignas(16) std::array<char, kStagingBlockBytes * 3 / 2> staging_{};
 };
 
 } // namespace quetzal::accel

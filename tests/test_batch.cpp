@@ -111,19 +111,17 @@ TEST(BatchRunner, ResultsLandAtSubmissionIndices)
     const auto ds = tinyDataset(120, 0.05, 2, 21);
     algos::BatchRunner batch(4);
     algos::RunOptions options;
-    std::vector<algos::AlgoKind> kinds = {
-        algos::AlgoKind::Wfa, algos::AlgoKind::SneakySnake,
-        algos::AlgoKind::Nw, algos::AlgoKind::BiWfa};
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-        EXPECT_EQ(batch.add(kinds[i], ds, options), i);
-    EXPECT_EQ(batch.size(), kinds.size());
+    const std::vector<std::string> names = {"WFA", "SS", "NW", "BiWFA"};
+    for (std::size_t i = 0; i < names.size(); ++i)
+        EXPECT_EQ(batch.add(algos::workloadByName(names[i]), ds, options),
+                  i);
+    EXPECT_EQ(batch.size(), names.size());
 
     const auto outcome = batch.run();
     EXPECT_TRUE(outcome.ok());
-    ASSERT_EQ(outcome.results.size(), kinds.size());
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-        EXPECT_EQ(outcome.results[i].algo, algos::algoName(kinds[i]))
-            << "slot " << i;
+    ASSERT_EQ(outcome.results.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i)
+        EXPECT_EQ(outcome.results[i].algo, names[i]) << "slot " << i;
     // run() clears the queue for reuse.
     EXPECT_EQ(batch.size(), 0u);
 }
@@ -132,15 +130,13 @@ TEST(BatchRunner, ParallelRunMatchesSerialFieldByField)
 {
     const auto ds = tinyDataset(150, 0.05, 3, 42);
     std::vector<algos::BatchCell> cells;
-    for (algos::AlgoKind kind :
-         {algos::AlgoKind::Wfa, algos::AlgoKind::SneakySnake,
-          algos::AlgoKind::Swg}) {
+    for (const char *name : {"WFA", "SS", "SW"}) {
         for (algos::Variant v :
              {algos::Variant::Base, algos::Variant::Vec,
               algos::Variant::QzC}) {
             algos::RunOptions options;
             options.variant = v;
-            cells.push_back({kind, ds, options});
+            cells.push_back({algos::workloadByName(name), ds, options});
         }
     }
 
@@ -175,10 +171,11 @@ TEST(BatchRunner, WorkerFatalBecomesFailureRecord)
     const auto ds = tinyDataset(80, 0.05, 1, 7);
     algos::BatchRunner batch(2);
     algos::RunOptions bad;
-    bad.variant = algos::Variant::Ref; // runAlgorithm rejects Ref
+    bad.variant = algos::Variant::Ref; // Workload::run rejects Ref
     algos::RunOptions good;
-    batch.add(algos::AlgoKind::Wfa, ds, bad);
-    batch.add(algos::AlgoKind::Wfa, ds, good);
+    const algos::Workload &wfa = algos::workloadByName("WFA");
+    batch.add(wfa, ds, bad);
+    batch.add(wfa, ds, good);
 
     const auto outcome = batch.run();
     EXPECT_FALSE(outcome.ok());
@@ -192,8 +189,7 @@ TEST(BatchRunner, WorkerFatalBecomesFailureRecord)
     ASSERT_EQ(outcome.results.size(), 2u);
     EXPECT_GT(outcome.results[1].cycles, 0u);
     // The failed slot keeps its identity with zeroed metrics.
-    EXPECT_EQ(outcome.results[0].algo,
-              algos::algoName(algos::AlgoKind::Wfa));
+    EXPECT_EQ(outcome.results[0].algo, "WFA");
     EXPECT_EQ(outcome.results[0].cycles, 0u);
 }
 
@@ -204,7 +200,7 @@ TEST(BatchRunner, FailFastModeRethrowsWorkerFatal)
     batch.policy().isolateFailures = false;
     algos::RunOptions bad;
     bad.variant = algos::Variant::Ref;
-    batch.add(algos::AlgoKind::Wfa, ds, bad);
+    batch.add(algos::workloadByName("WFA"), ds, bad);
     EXPECT_THROW(batch.run(), FatalError);
 }
 

@@ -3,13 +3,16 @@
  * Regression tests for the command-line option parser: negative
  * numeric values must bind as option values (not become flags), and
  * malformed numeric input must be a fatal diagnostic instead of
- * silently parsing as 0.
+ * silently parsing as 0. The bench binaries' QZ_BENCH_* knobs follow
+ * the same rule.
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "../tools/cli_common.hpp"
 
 namespace quetzal::cli {
@@ -122,6 +125,36 @@ TEST(Cli, WellFormedValuesStillParse)
     const Args args = parse({"--threads", "8", "--rate", "1.5e-2"});
     EXPECT_EQ(args.getInt("threads", 1), 8);
     EXPECT_DOUBLE_EQ(args.getDouble("rate", 0.0), 0.015);
+}
+
+TEST(BenchEnv, MalformedKnobsAreFatal)
+{
+    for (const char *bad : {"abc", "2x", "0", "-1", "inf", "nan"}) {
+        ::setenv("QZ_BENCH_SCALE", bad, 1);
+        EXPECT_THROW(bench::benchScale(), FatalError) << bad;
+    }
+    for (const char *bad : {"abc", "2x", "0", "-3", "1.5", "1e12"}) {
+        ::setenv("QZ_BENCH_THREADS", bad, 1);
+        EXPECT_THROW(bench::benchThreads(), FatalError) << bad;
+    }
+    ::setenv("QZ_BENCH_SCALE", "0.25", 1);
+    ::setenv("QZ_BENCH_THREADS", "3", 1);
+    EXPECT_DOUBLE_EQ(bench::benchScale(), 0.25);
+    EXPECT_EQ(bench::benchThreads(), 3u);
+    // Unset and empty both take the default.
+    ::setenv("QZ_BENCH_SCALE", "", 1);
+    ::unsetenv("QZ_BENCH_THREADS");
+    EXPECT_DOUBLE_EQ(bench::benchScale(), 1.0);
+    EXPECT_EQ(bench::benchThreads(), ThreadPool::hardwareThreads());
+    ::unsetenv("QZ_BENCH_SCALE");
+}
+
+TEST(BenchEnv, GuardedMainMapsErrorsToExitCodes)
+{
+    EXPECT_EQ(guardedMain([] { return 0; }), 0);
+    EXPECT_EQ(guardedMain([]() -> int { fatal("bad input"); }),
+              1);
+    EXPECT_EQ(guardedMain([]() -> int { panic("bug"); }), 2);
 }
 
 } // namespace

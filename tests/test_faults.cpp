@@ -42,19 +42,18 @@ tinyDataset(std::size_t length, double errorRate, std::size_t count,
     return ds;
 }
 
-/** Four healthy Wfa/SneakySnake cells on a shared tiny dataset. */
+/** Four healthy WFA/SS cells on a shared tiny dataset. */
 std::vector<algos::BatchCell>
 healthyCells()
 {
     const auto ds = tinyDataset(100, 0.05, 2, 11);
     std::vector<algos::BatchCell> cells;
-    for (algos::AlgoKind kind :
-         {algos::AlgoKind::Wfa, algos::AlgoKind::SneakySnake}) {
+    for (const char *name : {"WFA", "SS"}) {
         for (algos::Variant v :
              {algos::Variant::Base, algos::Variant::Vec}) {
             algos::RunOptions options;
             options.variant = v;
-            cells.push_back({kind, ds, options});
+            cells.push_back({algos::workloadByName(name), ds, options});
         }
     }
     return cells;
@@ -299,7 +298,7 @@ TEST(ResourceBudget, UnlimitedByDefault)
     const auto ds = tinyDataset(150, 0.05, 2, 3);
     algos::RunOptions options;
     const auto plain =
-        algos::runAlgorithm(algos::AlgoKind::Wfa, *ds, options);
+        algos::workloadByName("WFA").run(*ds, options);
     EXPECT_EQ(plain.degradedPairs, 0u);
     EXPECT_TRUE(plain.outputsMatch);
 }
@@ -311,7 +310,7 @@ TEST(ResourceBudget, StepCeilingDegradesToPrunedFallback)
     options.budget.maxSteps = 4; // far below the edit distance
     options.budget.fallbackLag = 8;
     const auto result =
-        algos::runAlgorithm(algos::AlgoKind::Wfa, *ds, options);
+        algos::workloadByName("WFA").run(*ds, options);
     // Every pair needs more than 4 wavefront steps, so every pair
     // degrades — and the run still completes with sane output.
     EXPECT_EQ(result.degradedPairs, result.pairs);
@@ -331,7 +330,7 @@ TEST(ResourceBudget, WaveMemoryCeilingDegrades)
     options.budget.maxWaveBytes = 16 * 1024;
     options.budget.fallbackLag = 8;
     const auto result =
-        algos::runAlgorithm(algos::AlgoKind::Wfa, *ds, options);
+        algos::workloadByName("WFA").run(*ds, options);
     EXPECT_GT(result.degradedPairs, 0u);
     EXPECT_TRUE(result.outputsMatch);
 }
@@ -346,7 +345,7 @@ TEST(ResourceBudget, ExhaustedEvenAfterFallbackIsResourceError)
     // terminally, classified Resource, and stays isolated.
     options.budget.maxWaveBytes = 256;
     options.budget.fallbackLag = 8;
-    batch.add(algos::AlgoKind::Wfa, ds, options);
+    batch.add(algos::workloadByName("WFA"), ds, options);
     const auto outcome = batch.run();
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_EQ(outcome.failures[0].kind, algos::FailureKind::Resource);
@@ -362,7 +361,7 @@ TEST(ResourceBudget, BiWfaStepCeilingDegrades)
     options.budget.maxSteps = 4;
     options.budget.fallbackLag = 8;
     const auto result =
-        algos::runAlgorithm(algos::AlgoKind::BiWfa, *ds, options);
+        algos::workloadByName("BiWFA").run(*ds, options);
     EXPECT_GT(result.degradedPairs, 0u);
     EXPECT_TRUE(result.outputsMatch);
 }
@@ -512,23 +511,46 @@ TEST(Checkpoint, HashCoversDatasetContent)
     const auto a = tinyDataset(100, 0.05, 2, 11);
     auto bOwned = tinyDataset(100, 0.05, 2, 11);
     algos::RunOptions options;
-    EXPECT_EQ(algos::cellHash(algos::AlgoKind::Wfa, *a, options),
-              algos::cellHash(algos::AlgoKind::Wfa, *bOwned, options));
+    EXPECT_EQ(algos::cellHash("WFA", *a, options),
+              algos::cellHash("WFA", *bOwned, options));
 
     // Same metadata, one base flipped: different identity.
     auto mutated = std::make_shared<genomics::PairDataset>(*bOwned);
     auto &base = mutated->pairs.front().pattern.front();
     base = base == 'A' ? 'C' : 'A';
-    EXPECT_NE(algos::cellHash(algos::AlgoKind::Wfa, *a, options),
-              algos::cellHash(algos::AlgoKind::Wfa, *mutated, options));
+    EXPECT_NE(algos::cellHash("WFA", *a, options),
+              algos::cellHash("WFA", *mutated, options));
 
     // Options and algorithm feed the key, hence the hash.
     algos::RunOptions other = options;
     other.variant = algos::Variant::Vec;
-    EXPECT_NE(algos::cellHash(algos::AlgoKind::Wfa, *a, options),
-              algos::cellHash(algos::AlgoKind::Wfa, *a, other));
-    EXPECT_NE(algos::cellHash(algos::AlgoKind::Wfa, *a, options),
-              algos::cellHash(algos::AlgoKind::BiWfa, *a, options));
+    EXPECT_NE(algos::cellHash("WFA", *a, options),
+              algos::cellHash("WFA", *a, other));
+    EXPECT_NE(algos::cellHash("WFA", *a, options),
+              algos::cellHash("BiWFA", *a, options));
+}
+
+TEST(Checkpoint, CellIdentityIsPinned)
+{
+    // Literal keys and hashes of a fixed WFA cell and a fixed SS+WFA
+    // cell. Checkpoint files store these, so a drift here would make
+    // every existing QZ_BENCH_CHECKPOINT file silently stop resuming.
+    const auto ds = tinyDataset(100, 0.05, 2, 11);
+    algos::RunOptions wfa;
+    algos::RunOptions pipeline;
+    pipeline.variant = algos::Variant::QzC;
+    pipeline.verify = false;
+    pipeline.system = sim::SystemParams::withQuetzal(8);
+    const std::string tail = "#pairs=2;maxPairs=18446744073709551615;"
+                             "maxLen=18446744073709551615;alphabet=DNA;"
+                             "ssThreshold=0;traceback=1;";
+    EXPECT_EQ(algos::cellKey("WFA", *ds, wfa),
+              "WFA/BASE/tiny" + tail + "verify=1;budget=0,0,64");
+    EXPECT_EQ(algos::cellHash("WFA", *ds, wfa), "964a5227b366a170");
+    EXPECT_EQ(algos::cellKey("SS+WFA", *ds, pipeline),
+              "SS+WFA/QUETZAL+C/tiny" + tail + "verify=0;budget=0,0,64");
+    EXPECT_EQ(algos::cellHash("SS+WFA", *ds, pipeline),
+              "8495fbbf1f1a9e04");
 }
 
 TEST(Checkpoint, RunResultJsonRoundTrips)

@@ -7,6 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/logging.hpp"
 #include "genomics/encoding.hpp"
 #include "isa/vectorunit.hpp"
@@ -434,6 +438,43 @@ TEST_F(QzUnitTest, ReadsDependOnPriorWrites)
     VReg idx;
     const VReg got = qz.qzload(idx, QzSel::Buf0, vpu.pTrue(1), 1);
     EXPECT_GT(got.tag.ready, 0u);
+}
+
+/** Stage @p seq from under a 4 KB stack frame, far below where the
+ *  caller's own locals sit. */
+[[gnu::noinline]] void
+stageFromDeepFrame(QzUnit &qz, QzSel sel, std::string_view seq)
+{
+    volatile char pad[4096];
+    pad[0] = 0;
+    qz.stageSequence2bit(sel, seq);
+    pad[1] = pad[0];
+}
+
+TEST(QzStaging, FootprintDoesNotDependOnTheCallersStack)
+{
+    // Staging loads are simulated accesses, and translation hands out
+    // simulated paragraphs in first-touch order. If the staged bytes
+    // sat in the caller's stack frame, how many paragraphs staging
+    // takes, and so where every later allocation lands in simulated
+    // space, would follow the compiler's frame layout: build types
+    // would disagree on every QUETZAL cell.
+    const std::string a(200, 'C'), b(200, 'G');
+    const std::vector<char> later(64, 'T');
+    const auto laterAddr = [&](bool deep) {
+        sim::SimContext ctx(sim::SystemParams::withQuetzal());
+        isa::VectorUnit vpu(ctx.pipeline());
+        QzUnit qz(vpu, ctx.params().quetzal);
+        qz.qzconf(a.size(), b.size(), ElementSize::Bits2);
+        qz.stageSequence2bit(QzSel::Buf0, a);
+        if (deep)
+            stageFromDeepFrame(qz, QzSel::Buf1, b);
+        else
+            qz.stageSequence2bit(QzSel::Buf1, b);
+        return ctx.mem().translate(
+            reinterpret_cast<sim::Addr>(later.data()));
+    };
+    EXPECT_EQ(laterAddr(false), laterAddr(true));
 }
 
 TEST_F(QzUnitTest, QzMhmCountRevCountsBackward)

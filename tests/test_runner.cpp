@@ -9,6 +9,7 @@
 
 #include "algos/report.hpp"
 #include "algos/runner.hpp"
+#include "algos/workload.hpp"
 #include "genomics/readsim.hpp"
 #include "common/logging.hpp"
 
@@ -33,13 +34,13 @@ tinyDataset(std::size_t length, double errorRate, std::size_t count,
 }
 
 RunResult
-run(AlgoKind kind, const genomics::PairDataset &ds, Variant v,
+run(std::string_view algo, const genomics::PairDataset &ds, Variant v,
     std::size_t maxLen = ~std::size_t{0})
 {
     RunOptions options;
     options.variant = v;
     options.maxLen = maxLen;
-    return runAlgorithm(kind, ds, options);
+    return workloadByName(algo).run(ds, options);
 }
 
 TEST(Runner, RefVariantIsRejected)
@@ -47,16 +48,16 @@ TEST(Runner, RefVariantIsRejected)
     const auto ds = tinyDataset(50, 0.05, 1, 1);
     RunOptions options;
     options.variant = Variant::Ref;
-    EXPECT_THROW(runAlgorithm(AlgoKind::Wfa, ds, options), FatalError);
+    EXPECT_THROW(workloadByName("WFA").run(ds, options), FatalError);
 }
 
 TEST(Runner, WfaOrderingMatchesPaper)
 {
     const auto ds = tinyDataset(400, 0.05, 4, 2);
-    const auto base = run(AlgoKind::Wfa, ds, Variant::Base);
-    const auto vec = run(AlgoKind::Wfa, ds, Variant::Vec);
-    const auto qz = run(AlgoKind::Wfa, ds, Variant::Qz);
-    const auto qzc = run(AlgoKind::Wfa, ds, Variant::QzC);
+    const auto base = run("WFA", ds, Variant::Base);
+    const auto vec = run("WFA", ds, Variant::Vec);
+    const auto qz = run("WFA", ds, Variant::Qz);
+    const auto qzc = run("WFA", ds, Variant::QzC);
 
     EXPECT_TRUE(base.outputsMatch);
     EXPECT_TRUE(vec.outputsMatch);
@@ -80,9 +81,9 @@ TEST(Runner, WfaOrderingMatchesPaper)
 TEST(Runner, SneakySnakeOrderingMatchesPaper)
 {
     const auto ds = tinyDataset(500, 0.04, 4, 3);
-    const auto base = run(AlgoKind::SneakySnake, ds, Variant::Base);
-    const auto vec = run(AlgoKind::SneakySnake, ds, Variant::Vec);
-    const auto qzc = run(AlgoKind::SneakySnake, ds, Variant::QzC);
+    const auto base = run("SS", ds, Variant::Base);
+    const auto vec = run("SS", ds, Variant::Vec);
+    const auto qzc = run("SS", ds, Variant::QzC);
     EXPECT_TRUE(vec.outputsMatch);
     EXPECT_TRUE(qzc.outputsMatch);
     EXPECT_EQ(base.accepted, vec.accepted);
@@ -96,7 +97,7 @@ TEST(Runner, BiWfaRunsAllVariants)
     const auto ds = tinyDataset(600, 0.04, 2, 4);
     for (Variant v :
          {Variant::Base, Variant::Vec, Variant::Qz, Variant::QzC}) {
-        const auto r = run(AlgoKind::BiWfa, ds, v);
+        const auto r = run("BiWFA", ds, v);
         EXPECT_TRUE(r.outputsMatch) << variantName(v);
         EXPECT_EQ(r.pairs, 2u);
         EXPECT_GT(r.cycles, 0u);
@@ -106,13 +107,13 @@ TEST(Runner, BiWfaRunsAllVariants)
 TEST(Runner, ClassicAlgorithmsVerifyAndCapLength)
 {
     const auto ds = tinyDataset(300, 0.03, 2, 5);
-    const auto nw = run(AlgoKind::Nw, ds, Variant::Vec, 120);
+    const auto nw = run("NW", ds, Variant::Vec, 120);
     EXPECT_TRUE(nw.outputsMatch);
     EXPECT_GT(nw.dpCells, 0u);
     // maxLen cap: cells bounded by 120^2-ish per pair.
     EXPECT_LE(nw.dpCells, 2u * 125u * 125u);
 
-    const auto sw = run(AlgoKind::Swg, ds, Variant::Qz);
+    const auto sw = run("SW", ds, Variant::Qz);
     EXPECT_TRUE(sw.outputsMatch);
 }
 
@@ -121,7 +122,7 @@ TEST(Runner, SsWfaPipelineFiltersDecoys)
     auto ds = tinyDataset(250, 0.03, 8, 6);
     const auto mixed = mixWithDecoys(ds);
     EXPECT_EQ(mixed.size(), ds.size());
-    const auto r = run(AlgoKind::SsWfa, mixed, Variant::QzC);
+    const auto r = run("SS+WFA", mixed, Variant::QzC);
     EXPECT_TRUE(r.outputsMatch);
     // Decoys (half the pairs) should mostly be rejected.
     EXPECT_LT(r.accepted, r.pairs);
@@ -131,7 +132,7 @@ TEST(Runner, SsWfaPipelineFiltersDecoys)
 TEST(Runner, StallBreakdownCoversMostCycles)
 {
     const auto ds = tinyDataset(400, 0.05, 2, 7);
-    const auto vec = run(AlgoKind::Wfa, ds, Variant::Vec);
+    const auto vec = run("WFA", ds, Variant::Vec);
     const std::uint64_t attributed = vec.stalls[0] + vec.stalls[1] +
                                      vec.stalls[2] + vec.stalls[3];
     EXPECT_GT(attributed, vec.cycles / 2);
@@ -157,7 +158,7 @@ TEST(Runner, ProteinWorkloadRuns)
     RunOptions options;
     options.variant = Variant::QzC;
     options.alphabet = genomics::AlphabetKind::Protein;
-    const auto r = runAlgorithm(AlgoKind::Wfa, ds, options);
+    const auto r = workloadByName("WFA").run(ds, options);
     EXPECT_TRUE(r.outputsMatch);
     EXPECT_GT(r.totalScore, 0);
 }
@@ -165,7 +166,7 @@ TEST(Runner, ProteinWorkloadRuns)
 TEST(Runner, DemandFeedsMulticoreModel)
 {
     const auto ds = tinyDataset(300, 0.05, 2, 9);
-    const auto r = run(AlgoKind::Wfa, ds, Variant::Vec);
+    const auto r = run("WFA", ds, Variant::Vec);
     const auto demand = r.demand();
     EXPECT_EQ(demand.cycles, r.cycles);
     const double s16 =
@@ -181,7 +182,7 @@ TEST(Runner, DemandFeedsMulticoreModel)
 
 struct MatrixCase
 {
-    AlgoKind kind;
+    const char *algo;
     Variant variant;
 };
 
@@ -196,9 +197,9 @@ TEST_P(EvaluationMatrix, VerifiesAndProgresses)
     RunOptions options;
     options.variant = mc.variant;
     options.maxLen = 150;
-    const auto r = runAlgorithm(mc.kind, ds, options);
+    const auto r = workloadByName(mc.algo).run(ds, options);
     EXPECT_TRUE(r.outputsMatch)
-        << algoName(mc.kind) << "/" << variantName(mc.variant);
+        << mc.algo << "/" << variantName(mc.variant);
     EXPECT_EQ(r.pairs, 3u);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.instructions, 0u);
@@ -210,12 +211,10 @@ std::vector<MatrixCase>
 allMatrixCases()
 {
     std::vector<MatrixCase> cases;
-    for (AlgoKind kind :
-         {AlgoKind::Wfa, AlgoKind::BiWfa, AlgoKind::SneakySnake,
-          AlgoKind::Nw, AlgoKind::Swg, AlgoKind::SsWfa}) {
+    for (const char *algo : {"WFA", "BiWFA", "SS", "NW", "SW", "SS+WFA"}) {
         for (Variant v : {Variant::Base, Variant::Vec, Variant::Qz,
                           Variant::QzC})
-            cases.push_back({kind, v});
+            cases.push_back({algo, v});
     }
     return cases;
 }
@@ -223,8 +222,7 @@ allMatrixCases()
 INSTANTIATE_TEST_SUITE_P(
     AllCells, EvaluationMatrix, ::testing::ValuesIn(allMatrixCases()),
     [](const auto &info) {
-        std::string name = std::string(algoName(info.param.kind)) +
-                           "_" +
+        std::string name = std::string(info.param.algo) + "_" +
                            std::string(variantName(info.param.variant));
         for (auto &c : name)
             if (c == '+' || c == '-')
@@ -235,7 +233,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Report, RunResultSerializesToJson)
 {
     const auto ds = tinyDataset(80, 0.05, 2, 11);
-    const auto r = run(AlgoKind::Wfa, ds, Variant::QzC);
+    const auto r = run("WFA", ds, Variant::QzC);
     const std::string json = toJson(r);
     EXPECT_NE(json.find("\"algo\":\"WFA\""), std::string::npos);
     EXPECT_NE(json.find("\"variant\":\"QUETZAL+C\""),

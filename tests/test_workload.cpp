@@ -90,19 +90,6 @@ TEST(WorkloadRegistry, UnknownNameListsValidNames)
     }
 }
 
-TEST(WorkloadRegistry, KindMappingCoversEveryAlgoKind)
-{
-    for (algos::AlgoKind kind :
-         {algos::AlgoKind::Wfa, algos::AlgoKind::BiWfa,
-          algos::AlgoKind::SneakySnake, algos::AlgoKind::Nw,
-          algos::AlgoKind::Swg, algos::AlgoKind::SsWfa}) {
-        const algos::Workload &workload = algos::workloadFor(kind);
-        ASSERT_TRUE(workload.kind().has_value());
-        EXPECT_EQ(*workload.kind(), kind);
-        EXPECT_EQ(workload.name(), algos::algoName(kind));
-    }
-}
-
 TEST(WorkloadRegistry, ListingMentionsEveryWorkload)
 {
     const std::string listing = algos::workloadListing();
@@ -117,7 +104,6 @@ TEST(WorkloadRegistry, KernelsDeclareNoCountVariant)
 {
     for (const char *name : {"histogram", "spmv"}) {
         const algos::Workload &workload = algos::workloadByName(name);
-        EXPECT_FALSE(workload.kind().has_value());
         EXPECT_TRUE(workload.supports(Variant::Base));
         EXPECT_TRUE(workload.supports(Variant::Vec));
         EXPECT_TRUE(workload.supports(Variant::Qz));

@@ -1,9 +1,12 @@
 /**
  * @file
  * The evaluation matrix the host-performance tooling sweeps, shared by
- * the qz-perf harness, the golden-metrics regression test
- * (tests/test_golden.cpp), and the CI perf-smoke job so all three agree
- * on exactly which cells are measured.
+ * the qz-perf harness, the Fig. 13a bench binary
+ * (bench/bench_fig13a_singlecore.cpp), the golden-metrics regression
+ * test (tests/test_golden.cpp), and the CI perf-smoke job so all of
+ * them agree on exactly which cells are measured. It is also the one
+ * definition of a bench cell's options (perfCellOptions) and of the
+ * protein use-case dataset.
  *
  * Two sizes:
  *  - full: the Fig. 13a single-core matrix (every Table II dataset x
@@ -22,6 +25,8 @@
 #define QUETZAL_TOOLS_PERF_MATRIX_HPP
 
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include "algos/batch.hpp"
 #include "algos/workload.hpp"
@@ -33,24 +38,34 @@ namespace quetzal::perf {
 /** Pinned scale of the tiny matrix (golden metrics depend on it). */
 constexpr double kTinyScale = 0.1;
 
-/** Bench-style cell options: no verification, QUETZAL hw as needed. */
+/** NW's length cap in Fig. 13a (full-table DP; the paper likewise
+ *  constrained datasets for simulation time). */
+constexpr std::size_t kClassicCap = 1000;
+
+/** The variants every Fig. 13a row sweeps, in cell order. */
+constexpr algos::Variant kFig13aVariants[] = {
+    algos::Variant::Base, algos::Variant::Vec, algos::Variant::Qz,
+    algos::Variant::QzC};
+
+/** Bench cell options: no verification, QUETZAL hw as needed. */
 inline algos::RunOptions
 perfCellOptions(algos::Variant variant,
                 std::size_t maxLen = ~std::size_t{0},
                 genomics::AlphabetKind alphabet =
-                    genomics::AlphabetKind::Dna)
+                    genomics::AlphabetKind::Dna,
+                unsigned qzPorts = 8)
 {
     algos::RunOptions options;
     options.variant = variant;
     options.maxLen = maxLen;
     options.alphabet = alphabet;
-    options.verify = false;
+    options.verify = false; // the test suite covers correctness
     if (algos::needsQuetzal(variant))
-        options.system = sim::SystemParams::withQuetzal(8);
+        options.system = sim::SystemParams::withQuetzal(qzPorts);
     return options;
 }
 
-/** The protein use case (mirrors bench_common.hpp proteinDataset). */
+/** The protein use case (use case 4, BAliBase-style families). */
 inline genomics::PairDataset
 perfProteinDataset(double scale)
 {
@@ -67,6 +82,37 @@ perfProteinDataset(double scale)
     return ds;
 }
 
+/** One Fig. 13a row: a workload on a dataset, over kFig13aVariants. */
+struct Fig13aRow
+{
+    std::string_view workload; //!< registry name
+    std::shared_ptr<const genomics::PairDataset> dataset;
+    std::size_t maxLen;
+    genomics::AlphabetKind alphabet;
+};
+
+/** The Fig. 13a rows at @p scale, in cell order. */
+inline std::vector<Fig13aRow>
+fig13aRows(double scale)
+{
+    constexpr std::size_t uncapped = ~std::size_t{0};
+    const auto dna = genomics::AlphabetKind::Dna;
+    std::vector<Fig13aRow> rows;
+    for (const auto &spec : genomics::datasetCatalog()) {
+        const auto ds = std::make_shared<const genomics::PairDataset>(
+            genomics::makeDataset(spec.name, scale));
+        for (const char *name : {"WFA", "BiWFA", "SS", "SW"})
+            rows.push_back({name, ds, uncapped, dna});
+        rows.push_back({"NW", ds, kClassicCap, dna});
+    }
+    const auto protein = std::make_shared<const genomics::PairDataset>(
+        perfProteinDataset(scale));
+    for (const char *name : {"WFA", "SS"})
+        rows.push_back(
+            {name, protein, uncapped, genomics::AlphabetKind::Protein});
+    return rows;
+}
+
 /**
  * Queue the host-performance evaluation matrix on @p runner.
  * @param scale dataset scale for the full matrix (the tiny matrix is
@@ -78,24 +124,18 @@ perfProteinDataset(double scale)
 inline std::size_t
 addPerfMatrix(algos::BatchRunner &runner, double scale, bool tiny)
 {
-    using algos::AlgoKind;
     using algos::Variant;
-    using DatasetPtr = std::shared_ptr<const genomics::PairDataset>;
 
     std::size_t cells = 0;
-    auto dataset = [](std::string_view name, double s) {
-        return std::make_shared<const genomics::PairDataset>(
-            genomics::makeDataset(name, s));
-    };
-
     if (tiny) {
-        for (const char *name : {"100bp_1", "250bp_1"}) {
-            const DatasetPtr ds = dataset(name, kTinyScale);
-            for (const AlgoKind kind :
-                 {AlgoKind::Wfa, AlgoKind::SneakySnake}) {
+        for (const char *dataset : {"100bp_1", "250bp_1"}) {
+            const auto ds = std::make_shared<const genomics::PairDataset>(
+                genomics::makeDataset(dataset, kTinyScale));
+            for (const char *name : {"WFA", "SS"}) {
                 for (const Variant variant :
                      {Variant::Base, Variant::Vec, Variant::QzC}) {
-                    runner.add(kind, ds, perfCellOptions(variant));
+                    runner.add(algos::workloadByName(name), ds,
+                               perfCellOptions(variant));
                     ++cells;
                 }
             }
@@ -103,36 +143,16 @@ addPerfMatrix(algos::BatchRunner &runner, double scale, bool tiny)
         return cells;
     }
 
-    const std::size_t classicCap = 1000;
-    auto submit = [&](AlgoKind kind, const DatasetPtr &ds,
-                      std::size_t maxLen,
-                      genomics::AlphabetKind alphabet) {
-        for (const Variant variant : {Variant::Base, Variant::Vec,
-                                      Variant::Qz, Variant::QzC}) {
-            runner.add(kind, ds,
-                       perfCellOptions(variant, maxLen, alphabet));
+    for (const Fig13aRow &row : fig13aRows(scale)) {
+        const algos::Workload &workload =
+            algos::workloadByName(row.workload);
+        for (const Variant variant : kFig13aVariants) {
+            runner.add(workload, row.dataset,
+                       perfCellOptions(variant, row.maxLen,
+                                       row.alphabet));
             ++cells;
         }
-    };
-    for (const auto &spec : genomics::datasetCatalog()) {
-        const DatasetPtr ds = dataset(spec.name, scale);
-        submit(AlgoKind::Wfa, ds, ~std::size_t{0},
-               genomics::AlphabetKind::Dna);
-        submit(AlgoKind::BiWfa, ds, ~std::size_t{0},
-               genomics::AlphabetKind::Dna);
-        submit(AlgoKind::SneakySnake, ds, ~std::size_t{0},
-               genomics::AlphabetKind::Dna);
-        submit(AlgoKind::Swg, ds, ~std::size_t{0},
-               genomics::AlphabetKind::Dna);
-        submit(AlgoKind::Nw, ds, classicCap,
-               genomics::AlphabetKind::Dna);
     }
-    const auto protein = std::make_shared<const genomics::PairDataset>(
-        perfProteinDataset(scale));
-    submit(AlgoKind::Wfa, protein, ~std::size_t{0},
-           genomics::AlphabetKind::Protein);
-    submit(AlgoKind::SneakySnake, protein, ~std::size_t{0},
-           genomics::AlphabetKind::Protein);
     return cells;
 }
 

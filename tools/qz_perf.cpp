@@ -475,12 +475,5 @@ runPerf(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // fatal() and panic() have already printed their diagnostic line.
-    try {
-        return runPerf(argc, argv);
-    } catch (const quetzal::FatalError &) {
-        return 1;
-    } catch (const quetzal::PanicError &) {
-        return 2;
-    }
+    return quetzal::guardedMain([&] { return runPerf(argc, argv); });
 }
