@@ -1,6 +1,7 @@
 #include "algos/nw.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -177,20 +178,6 @@ fillScalar(DiagTable &tab, std::string_view p, std::string_view t,
         for (std::int64_t i = lo; i <= hi; ++i) {
             const std::int64_t j = d - i;
             const std::int64_t k = i - lo;
-            if (bu) {
-                using sim::OpClass;
-                const sim::MemOp cellLoads[] = {
-                    {OpClass::ScalarLoad, kSiteA, addrOf(r1 + k + 1), 4},
-                    {OpClass::ScalarLoad, kSiteB, addrOf(r1 + k), 4},
-                    {OpClass::ScalarLoad, kSiteC, addrOf(r2 + k), 4},
-                    {OpClass::ScalarLoad, kSiteP,
-                     addrOf(&p[static_cast<std::size_t>(i - 1)]), 1},
-                    {OpClass::ScalarLoad, kSiteT,
-                     addrOf(&t[static_cast<std::size_t>(j - 1)]), 1},
-                };
-                bu->loads(cellLoads);
-                bu->alu(4);
-            }
             const std::int32_t ins = r1[k + 1] + 1;
             const std::int32_t del = r1[k] + 1;
             const std::int32_t sub =
@@ -198,10 +185,25 @@ fillScalar(DiagTable &tab, std::string_view p, std::string_view t,
                                  t[static_cast<std::size_t>(j - 1)]
                              ? 0
                              : 1);
-            const std::int32_t value = std::min(ins, std::min(del, sub));
-            outRow[k] = value;
-            if (bu)
-                bu->storeInt(kSiteV, outRow + k, value);
+            outRow[k] = std::min(ins, std::min(del, sub));
+        }
+        // Charge the diagonal as one cell run: cell k loads (i, j-1),
+        // (i-1, j), (i-1, j-1), p[i-1] and t[j-1] (the text walks
+        // backwards along a diagonal), runs a 4-op ALU chain, and
+        // stores (i, j).
+        if (bu) {
+            const std::array<sim::CellStream, 5> loads{{
+                {kSiteA, addrOf(r1 + 1), 4, 4},
+                {kSiteB, addrOf(r1), 4, 4},
+                {kSiteC, addrOf(r2), 4, 4},
+                {kSiteP, addrOf(p.data() + (lo - 1)), 1, 1},
+                {kSiteT, addrOf(t.data() + (d - lo - 1)), -1, 1},
+            }};
+            const std::array<sim::CellStream, 1> stores{{
+                {kSiteV, addrOf(outRow), 4, 4},
+            }};
+            bu->cells(loads, 4, stores,
+                      static_cast<std::uint64_t>(hi - lo + 1));
         }
     }
 }

@@ -1,6 +1,7 @@
 #include "algos/swg.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -282,27 +283,6 @@ fillScalar(Tables &tab, const SwgParams &sp, std::string_view p,
         for (std::int64_t i = lo; i <= hi; ++i) {
             const std::int64_t j = d - i;
             const std::int64_t k = i - lo;
-            if (bu) {
-                using sim::OpClass;
-                const sim::MemOp cellLoads[] = {
-                    {OpClass::ScalarLoad, kSiteH1,
-                     addrOf(tab.h.ptr(d - 1, i)), 4},
-                    {OpClass::ScalarLoad, kSiteH1b,
-                     addrOf(tab.h.ptr(d - 1, i - 1)), 4},
-                    {OpClass::ScalarLoad, kSiteE1,
-                     addrOf(tab.e.ptr(d - 1, i)), 4},
-                    {OpClass::ScalarLoad, kSiteF1,
-                     addrOf(tab.f.ptr(d - 1, i - 1)), 4},
-                    {OpClass::ScalarLoad, kSiteH2,
-                     addrOf(tab.h.ptr(d - 2, i - 1)), 4},
-                    {OpClass::ScalarLoad, kSiteP,
-                     addrOf(&p[static_cast<std::size_t>(i - 1)]), 1},
-                    {OpClass::ScalarLoad, kSiteT,
-                     addrOf(&t[static_cast<std::size_t>(j - 1)]), 1},
-                };
-                bu->loads(cellLoads);
-                bu->alu(8);
-            }
             std::int32_t hv, ev, fv;
             if (fast) {
                 const std::int32_t e =
@@ -322,15 +302,35 @@ fillScalar(Tables &tab, const SwgParams &sp, std::string_view p,
             hRow[k] = hv;
             eRow[k] = ev;
             fRow[k] = fv;
-            if (bu) {
-                using sim::OpClass;
-                const sim::MemOp cellStores[] = {
-                    {OpClass::ScalarStore, kSiteHS, addrOf(hRow + k), 4},
-                    {OpClass::ScalarStore, kSiteHS, addrOf(eRow + k), 4},
-                    {OpClass::ScalarStore, kSiteHS, addrOf(fRow + k), 4},
-                };
-                bu->stores(cellStores);
-            }
+        }
+        // Charge the slice as one cell run: cell k = i - lo loads
+        // H(i, j-1), H(i-1, j), E(i, j-1), F(i-1, j), H(i-1, j-1),
+        // p[i-1] and t[j-1], runs an 8-op ALU chain, and stores its
+        // H, E and F cells.
+        if (bu && w > 0) {
+            // A run's band slots are linear in i, so ptr()'s storage
+            // check at both ends covers every cell of the run.
+            const auto band = [w](std::uint64_t site, BandTable &tb,
+                                  std::int64_t diag, std::int64_t i0) {
+                (void)tb.ptr(diag, i0 + w - 1);
+                return sim::CellStream{site, addrOf(tb.ptr(diag, i0)), 4,
+                                       4};
+            };
+            const std::array<sim::CellStream, 7> loads{{
+                band(kSiteH1, tab.h, d - 1, lo),
+                band(kSiteH1b, tab.h, d - 1, lo - 1),
+                band(kSiteE1, tab.e, d - 1, lo),
+                band(kSiteF1, tab.f, d - 1, lo - 1),
+                band(kSiteH2, tab.h, d - 2, lo - 1),
+                {kSiteP, addrOf(p.data() + (lo - 1)), 1, 1},
+                {kSiteT, addrOf(t.data() + (d - lo - 1)), -1, 1},
+            }};
+            const std::array<sim::CellStream, 3> stores{{
+                {kSiteHS, addrOf(hRow), 4, 4},
+                {kSiteHS, addrOf(eRow), 4, 4},
+                {kSiteHS, addrOf(fRow), 4, 4},
+            }};
+            bu->cells(loads, 8, stores, static_cast<std::uint64_t>(w));
         }
         if (lo <= hi) {
             tab.recenter(d + 1, tab.h.center(d) +

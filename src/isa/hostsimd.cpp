@@ -9,6 +9,8 @@
 
 #include "isa/hostsimd_tables.hpp"
 
+#include "common/logging.hpp"
+
 #include <cstdlib>
 #include <cstring>
 
@@ -27,11 +29,16 @@ enum class Level
     Avx512 = 2,
 };
 
+/**
+ * Parse a QZ_HOST_SIMD value (configure cap or environment). Null or
+ * empty means auto; anything but the four backend names is rejected
+ * rather than silently read as auto.
+ */
 Level
-parseLevel(const char *s, Level fallback)
+parseLevel(const char *s)
 {
-    if (s == nullptr) {
-        return fallback;
+    if (s == nullptr || *s == '\0' || std::strcmp(s, "auto") == 0) {
+        return Level::Avx512;
     }
     if (std::strcmp(s, "avx512") == 0) {
         return Level::Avx512;
@@ -42,7 +49,9 @@ parseLevel(const char *s, Level fallback)
     if (std::strcmp(s, "scalar") == 0) {
         return Level::Scalar;
     }
-    return fallback; // "auto" or unrecognized: no restriction
+    fatal("QZ_HOST_SIMD='{}' is not a host-SIMD backend (expected "
+          "auto, avx512, avx2 or scalar)",
+          s);
 }
 
 bool
@@ -71,12 +80,13 @@ cpuHasAvx512()
 #endif
 }
 
+} // namespace
+
 const HostSimdOps &
-resolve()
+hostSimdFor(const char *request)
 {
-    Level cap = parseLevel(QZ_HOSTSIMD_CONFIG, Level::Avx512);
-    const Level env =
-        parseLevel(std::getenv("QZ_HOST_SIMD"), Level::Avx512);
+    Level cap = parseLevel(QZ_HOSTSIMD_CONFIG);
+    const Level env = parseLevel(request);
     if (env < cap) {
         cap = env; // the environment can only lower the configure cap
     }
@@ -89,12 +99,11 @@ resolve()
     return hostSimdScalarOps();
 }
 
-} // namespace
-
 const HostSimdOps &
 hostSimd()
 {
-    static const HostSimdOps &ops = resolve();
+    static const HostSimdOps &ops =
+        hostSimdFor(std::getenv("QZ_HOST_SIMD"));
     return ops;
 }
 

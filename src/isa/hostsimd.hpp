@@ -150,6 +150,13 @@ struct HostSimdOps
  */
 const HostSimdOps &hostSimd();
 
+/**
+ * The backend hostSimd() resolves when the QZ_HOST_SIMD environment
+ * variable is @p request (null or empty: auto). A value other than
+ * auto, avx512, avx2 or scalar is a fatal() error naming it.
+ */
+const HostSimdOps &hostSimdFor(const char *request);
+
 /** The scalar reference table (always available). */
 const HostSimdOps &hostSimdScalarOps();
 

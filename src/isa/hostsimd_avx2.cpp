@@ -326,8 +326,11 @@ widen8to32(const std::uint8_t *src, unsigned n, W *out)
 {
     // Stage through a zeroed local buffer: keeps the load footprint
     // exactly [src, src + n) like the scalar loop.
+    // n == 0 may come with a null src, which memcpy must not see.
     alignas(16) std::uint8_t buf[16] = {};
-    std::memcpy(buf, src, n);
+    if (n > 0) {
+        std::memcpy(buf, src, n);
+    }
     const __m128i bytes =
         _mm_load_si128(reinterpret_cast<const __m128i *>(buf));
     st(out, _mm256_cvtepu8_epi32(bytes),

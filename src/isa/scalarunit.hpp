@@ -15,6 +15,7 @@
 #ifndef QUETZAL_ISA_SCALARUNIT_HPP
 #define QUETZAL_ISA_SCALARUNIT_HPP
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 
@@ -84,15 +85,21 @@ class BaseUnit
     }
 
     /**
-     * Charge a run of stores (values produced by the current chain) in
-     * one pipeline trip; identical to storeInt per element minus the
-     * functional write, which the caller's own row assignment already
-     * performed.
+     * Charge @p cells DP cells of one anti-diagonal in one pipeline
+     * trip: per cell, loads(@p loadStreams), alu(@p aluCount), then
+     * the @p storeStreams stores — identical to that per-cell
+     * sequence (Pipeline::executeCellRun). The caller performs the
+     * functional reads and writes.
      */
+    template <std::size_t N, std::size_t M>
     void
-    stores(std::span<const sim::MemOp> ops)
+    cells(const std::array<sim::CellStream, N> &loadStreams,
+          unsigned aluCount,
+          const std::array<sim::CellStream, M> &storeStreams,
+          std::uint64_t cells)
     {
-        pipeline_.executeMemRun(ops, chain_);
+        pipeline_.executeCellRun(loadStreams, aluCount, storeStreams,
+                                 cells, chain_, pending_);
     }
 
     /**

@@ -94,6 +94,22 @@ class Cache
         return false;
     }
 
+    /**
+     * The MRU tag slot of @p addr's set. The tag array never moves,
+     * so the pointer stays valid for the cache's lifetime; once the
+     * set holds a line, `*slot == addr >> log2(lineBytes)` is exactly
+     * access()'s inline MRU-hit test.
+     */
+    const std::uint64_t *
+    mruSlot(Addr addr) const
+    {
+        return tags_.data() + setOf(lineOf(addr)) * params_.associativity;
+    }
+
+    /** Count a demand hit the caller resolved through mruSlot(): the
+     *  same bookkeeping as access()'s MRU fast path. */
+    QZ_CACHE_ALWAYS_INLINE void countMruHit() { ++*hits_; }
+
     /** True when @p a and @p b fall on the same cache line. */
     QZ_CACHE_ALWAYS_INLINE bool
     sameLine(Addr a, Addr b) const

@@ -156,6 +156,24 @@ MemorySystem::accessSpanning(std::uint64_t pc, Addr addr, Addr first,
 }
 
 void
+MemorySystem::openStreams(std::span<const std::uint64_t> pcs,
+                          std::span<StreamMemo> memos) const
+{
+    panic_if_not(memos.size() == pcs.size(),
+                 "openStreams: {} memos for {} streams", memos.size(),
+                 pcs.size());
+    for (std::size_t i = 0; i < pcs.size(); ++i) {
+        const std::size_t slot = l1Prefetcher_.slotOf(pcs[i]);
+        bool exclusive = true;
+        for (std::size_t j = 0; j < pcs.size(); ++j)
+            if (j != i && l1Prefetcher_.slotOf(pcs[j]) == slot)
+                exclusive = false;
+        memos[i] = StreamMemo{};
+        memos[i].pfExclusive = exclusive;
+    }
+}
+
+void
 MemorySystem::accessVector(std::uint64_t pc, std::span<const Addr> addrs,
                            unsigned elemBytes, bool write,
                            std::span<unsigned> latencies)

@@ -71,6 +71,97 @@ class MemorySystem
                       unsigned elemBytes, bool write,
                       std::span<unsigned> latencies);
 
+    /**
+     * Run-local memo of one strided access stream of a cell run
+     * (Pipeline::executeCellRun): the stream's last host paragraph
+     * with its simulated base, and its last simulated line with that
+     * line's L1 set MRU slot. Valid only within one run — nothing
+     * inside a run starts an epoch or invalidates the caches.
+     */
+    struct StreamMemo
+    {
+        Addr par = kNoParagraph;
+        Addr simBase = 0;
+        Addr line = kNoParagraph;
+        const std::uint64_t *mruTag = nullptr;
+        bool pfExclusive = false; //!< no other stream shares the slot
+        bool pfQuiet = false;     //!< slot settled on `line` (exclusive)
+    };
+
+    /**
+     * Start a run over streams with sites @p pcs: reset @p memos
+     * (one per pc, same order) and mark the streams whose prefetcher
+     * slot no other stream of the run trains.
+     */
+    void openStreams(std::span<const std::uint64_t> pcs,
+                     std::span<StreamMemo> memos) const;
+
+    /**
+     * access() for one stream of a cell run, exact by construction:
+     *  - a repeat of the stream's last host paragraph reuses its
+     *    translation (assignments are fixed within an epoch) and
+     *    skips the TLB probe; the translate_fast bookkeeping still
+     *    runs;
+     *  - a repeat of its last simulated line tests that line's MRU
+     *    slot directly instead of hashing to the set — the same
+     *    compare access() makes first;
+     *  - on such a line repeat, the prefetcher update is skipped too
+     *    when the stream owns its slot and the entry is settled on
+     *    the line (settled() — the update would be a no-op).
+     * Every other access takes accessOne()'s steps and refreshes the
+     * memo; a paragraph-straddling one takes the multi-paragraph walk
+     * and clears it.
+     */
+    QZ_CACHE_ALWAYS_INLINE unsigned
+    accessStream(StreamMemo &s, std::uint64_t pc, Addr addr,
+                 unsigned bytes)
+    {
+        const HostPhase::Scope scope(HostPhase::Mem);
+        const Addr par = addr / kParagraphBytes;
+        const Addr last =
+            (addr + (bytes > 1 ? bytes : 1u) - 1) / kParagraphBytes;
+        if (par != last) [[unlikely]] {
+            s.par = s.line = kNoParagraph;
+            return accessSpanning(pc, addr, par, last);
+        }
+        Addr sim;
+        if (par == s.par) {
+            if (par == mruPar_)
+                ++*translateFast_;
+            else
+                mruPar_ = par;
+            sim = s.simBase + addr % kParagraphBytes;
+        } else {
+            sim = translate(addr);
+            s.par = par;
+            s.simBase = sim - addr % kParagraphBytes;
+        }
+        const unsigned shift = l1LineShift_;
+        const Addr simLine = sim >> shift;
+        const Addr lineAddr = simLine << shift;
+        const bool sameLine = simLine == s.line;
+        ++*requests_;
+        if (!(sameLine && s.pfQuiet)) {
+            l1Prefetcher_.observe(pc, lineAddr);
+            s.pfQuiet =
+                s.pfExclusive && l1Prefetcher_.settled(pc, lineAddr);
+        }
+        if (sameLine && *s.mruTag == simLine) {
+            ++streamLineHits_;
+            l1d_.countMruHit();
+            return l1d_.loadToUse();
+        }
+        s.line = simLine;
+        s.mruTag = l1d_.mruSlot(lineAddr);
+        if (l1d_.access(lineAddr))
+            return l1d_.loadToUse();
+        return missToL2(lineAddr);
+    }
+
+    /** Stream accesses whose L1 hit the memo resolved (host-perf
+     *  observability; not a simulated metric). */
+    std::uint64_t streamLineHits() const { return streamLineHits_; }
+
     /** Total demand requests sent to the L1 (the Fig. 14a numerator). */
     std::uint64_t totalRequests() const { return requests_->value(); }
 
@@ -153,6 +244,7 @@ class MemorySystem
 
     Cache &l1d() { return l1d_; }
     Cache &l2() { return l2_; }
+    StridePrefetcher &l1Prefetcher() { return l1Prefetcher_; }
 
     const SystemParams &params() const { return params_; }
 
@@ -288,6 +380,7 @@ class MemorySystem
     Stat *dramRequests_;
     Stat *dramBytes_;
     Stat *translateFast_;
+    std::uint64_t streamLineHits_ = 0;
 };
 
 } // namespace quetzal::sim

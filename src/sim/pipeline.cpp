@@ -115,6 +115,11 @@ Pipeline::executeOpBurst(OpClass cls, unsigned count)
     // Closed form requires a clean launch state: every unit idle by
     // the first op's dispatch cycle and no chance of ROB back-pressure
     // anywhere in the burst. Otherwise replay the verbatim loop.
+    // Entries done by now are only waiting for lazy retirement
+    // (resolveIssue); dropping them first keeps the headroom check on
+    // the live entries.
+    while (!rob_.empty() && rob_.front().done <= c0)
+        rob_.pop();
     bool clean = pipes > 0 &&
                  rob_.size() + count <= params_.core.robEntries;
     for (std::size_t i = 0; clean && i < pool.size(); ++i)
@@ -258,14 +263,7 @@ Tag
 Pipeline::executeOpChain(OpClass cls, unsigned count, Tag dep)
 {
     const HostPhase::Scope scope(HostPhase::Pipeline);
-    const OpSpec spec = opSpec(cls);
-    for (unsigned i = 0; i < count; ++i) {
-        const Cycle issue = resolveIssue(dep, *spec.pool, 1, 0);
-        const Cycle completion = issue + spec.latency;
-        finishOp(cls, completion, 0, false);
-        dep = Tag{completion, false};
-    }
-    return dep;
+    return opChainImpl(cls, opSpec(cls), count, dep);
 }
 
 Tag

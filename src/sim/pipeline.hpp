@@ -37,9 +37,11 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
+#include "sim/hostphase.hpp"
 #include "sim/memsystem.hpp"
 #include "sim/params.hpp"
 
@@ -188,6 +190,18 @@ struct MemOp
     unsigned bytes;
 };
 
+/**
+ * One strided address stream of a cell run: cell c touches
+ * [base + c * stride, + bytes) through static site @p pc.
+ */
+struct CellStream
+{
+    std::uint64_t pc;
+    Addr base;
+    std::int64_t stride;
+    unsigned bytes;
+};
+
 /** The scoreboard core model. */
 class Pipeline
 {
@@ -267,6 +281,23 @@ class Pipeline
      * return through @p count calls; returns the final tag.
      */
     Tag executeOpChain(OpClass cls, unsigned count, Tag dep);
+
+    /**
+     * Charge @p cells scalar DP cells of one anti-diagonal: per cell,
+     * the N @p loads (ScalarLoad, each consuming @p chain; their
+     * joined tag joins @p pending), then — when @p aluCount > 0 — a
+     * ScalarAlu chain of @p aluCount ops on join(chain, pending) that
+     * becomes the new @p chain and clears @p pending, then the M
+     * @p stores (ScalarStore, consuming the chain). That is exactly
+     * executeMemRun / executeOpChain / executeMemRun per cell,
+     * unrolled over the streams at compile time. Memory goes through
+     * MemorySystem::accessStream with one run-local memo per stream.
+     */
+    template <std::size_t N, std::size_t M>
+    void executeCellRun(const std::array<CellStream, N> &loads,
+                        unsigned aluCount,
+                        const std::array<CellStream, M> &stores,
+                        std::uint64_t cells, Tag &chain, Tag &pending);
 
     /**
      * Indexed memory op (gather/scatter): one cache access per element
@@ -384,6 +415,53 @@ class Pipeline
     Tag memOpImpl(OpClass cls, std::uint64_t pc, Addr addr,
                   unsigned bytes, Tag dep);
 
+    /** executeOpChain body without the host-phase scope. */
+    QZ_SIM_ALWAYS_INLINE Tag
+    opChainImpl(OpClass cls, const OpSpec &spec, unsigned count, Tag dep)
+    {
+        for (unsigned i = 0; i < count; ++i) {
+            const Cycle issue = resolveIssue(dep, *spec.pool, 1, 0);
+            const Cycle completion = issue + spec.latency;
+            finishOp(cls, completion, 0, false);
+            dep = Tag{completion, false};
+        }
+        return dep;
+    }
+
+    /** memOpImpl for cell @p cell of a cell-run stream. */
+    template <bool Write>
+    QZ_SIM_ALWAYS_INLINE Tag
+    streamOpImpl(MemorySystem::StreamMemo &memo, const CellStream &s,
+                 std::uint64_t cell, Tag dep)
+    {
+        const Cycle issue = resolveIssue(dep, aguPipes_, 1, 1);
+        const Addr addr = s.base + static_cast<Addr>(s.stride) * cell;
+        const unsigned latency =
+            mem_.accessStream(memo, s.pc, addr, s.bytes);
+        const Cycle completion = Write ? issue + 1 : issue + latency;
+        finishOp(Write ? OpClass::ScalarStore : OpClass::ScalarLoad,
+                 completion, 1, true, Write ? issue + latency : 0);
+        return Tag{completion, true};
+    }
+
+    /** Streams [First, First + K) of a run for one cell, in order;
+     *  returns their joined tags (the executeMemRun fold). */
+    template <bool Write, std::size_t First, std::size_t K,
+              std::size_t R, std::size_t... I>
+    QZ_SIM_ALWAYS_INLINE Tag
+    streamOps(std::array<MemorySystem::StreamMemo, R> &memo,
+              const std::array<CellStream, K> &streams,
+              [[maybe_unused]] std::uint64_t cell,
+              [[maybe_unused]] Tag dep, std::index_sequence<I...>)
+    {
+        Tag out{};
+        ((out = Tag::join(out, streamOpImpl<Write>(memo[First + I],
+                                                   streams[I], cell,
+                                                   dep))),
+         ...);
+        return out;
+    }
+
     /** One in-flight instruction tracked for in-order retirement. */
     struct RobEntry
     {
@@ -431,9 +509,11 @@ class Pipeline
         // In-order dispatch: a full ROB stalls the pointer until the
         // oldest in-flight op retires; the stall is attributed to what
         // that op was waiting on (memory -> cache access, else
-        // compute).
-        while (!rob_.empty() && rob_.front().done <= t)
-            rob_.pop();
+        // compute). Retirement is lazy: entries leave only when their
+        // slot is needed. An entry with done <= t never moves t or
+        // the attribution, so popping it early (as the eager
+        // "retire everything done" loop did) changes nothing
+        // observable.
         while (rob_.size() + 1 > params_.core.robEntries &&
                !rob_.empty()) {
             const RobEntry head = rob_.front();
@@ -446,8 +526,6 @@ class Pipeline
             }
         }
         if (lsqNeed > 0) {
-            while (!lsq_.empty() && lsq_.front() <= t)
-                lsq_.pop();
             while (lsq_.size() + lsqNeed > params_.core.lsqEntries &&
                    !lsq_.empty()) {
                 const Cycle head = lsq_.front();
@@ -537,6 +615,41 @@ class Pipeline
     std::uint64_t instructions_ = 0;
     std::uint64_t burstFastPaths_ = 0;
 };
+
+template <std::size_t N, std::size_t M>
+void
+Pipeline::executeCellRun(const std::array<CellStream, N> &loads,
+                         unsigned aluCount,
+                         const std::array<CellStream, M> &stores,
+                         std::uint64_t cells, Tag &chain, Tag &pending)
+{
+    const HostPhase::Scope scope(HostPhase::Pipeline);
+    std::array<std::uint64_t, N + M> pcs{};
+    for (std::size_t i = 0; i < N; ++i)
+        pcs[i] = loads[i].pc;
+    for (std::size_t i = 0; i < M; ++i)
+        pcs[N + i] = stores[i].pc;
+    std::array<MemorySystem::StreamMemo, N + M> memo{};
+    mem_.openStreams(pcs, memo);
+
+    const OpSpec alu = opSpec(OpClass::ScalarAlu);
+    Tag ch = chain;
+    Tag pend = pending;
+    for (std::uint64_t cell = 0; cell < cells; ++cell) {
+        pend = Tag::join(pend,
+                         streamOps<false, 0>(memo, loads, cell, ch,
+                                             std::make_index_sequence<N>{}));
+        if (aluCount > 0) {
+            ch = opChainImpl(OpClass::ScalarAlu, alu, aluCount,
+                             Tag::join(ch, pend));
+            pend = Tag{};
+        }
+        streamOps<true, N>(memo, stores, cell, ch,
+                           std::make_index_sequence<M>{});
+    }
+    chain = ch;
+    pending = pend;
+}
 
 /** True for classes that visit the cache hierarchy. */
 inline bool

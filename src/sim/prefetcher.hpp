@@ -45,11 +45,7 @@ class StridePrefetcher
         if (!params_.enabled || table_.empty())
             return;
 
-        // Same slot as `pc % size`, but without a hardware divide on
-        // every demand access when the table size is a power of two.
-        const std::size_t slot =
-            tableMask_ ? (pc & tableMask_) : (pc % table_.size());
-        Entry &entry = table_[slot];
+        Entry &entry = table_[slotOf(pc)];
         if (!entry.valid || entry.pc != pc) {
             entry = Entry{pc, addr, 0, 0, true};
             return;
@@ -76,6 +72,37 @@ class StridePrefetcher
                 return;
             issueAhead(entry, addr);
         }
+    }
+
+    /**
+     * True when observe(pc, addr) would change nothing: the prefetcher
+     * is off, or @p pc's entry is already {pc, addr, stride 0,
+     * confidence 0} (a zero stride resets the entry to itself and
+     * never issues). Entries reach that state on the second
+     * consecutive observation of one line by one site.
+     */
+    bool
+    settled(std::uint64_t pc, Addr addr) const
+    {
+        if (!params_.enabled || table_.empty())
+            return true;
+        const Entry &entry = table_[slotOf(pc)];
+        return entry.valid && entry.pc == pc && entry.lastAddr == addr &&
+               entry.stride == 0 && entry.confidence == 0;
+    }
+
+    /**
+     * Table slot @p pc trains: `pc % size`, without a hardware divide
+     * on every demand access when the size is a power of two. Every
+     * pc maps to slot 0 when the prefetcher is off (no slot is
+     * touched then).
+     */
+    QZ_CACHE_ALWAYS_INLINE std::size_t
+    slotOf(std::uint64_t pc) const
+    {
+        if (!params_.enabled || table_.empty())
+            return 0;
+        return tableMask_ ? (pc & tableMask_) : (pc % table_.size());
     }
 
     std::uint64_t issued() const { return issued_->value(); }

@@ -127,6 +127,28 @@ TEST(Cli, WellFormedValuesStillParse)
     EXPECT_DOUBLE_EQ(args.getDouble("rate", 0.0), 0.015);
 }
 
+TEST(Cli, UnknownOptionOrArgumentIsFatal)
+{
+    // qz-perf's guard: a typo like --apend must stop the tool before
+    // it sweeps or writes anything.
+    EXPECT_THROW(parse({"--apend"}).rejectUnknown({"append", "out"}),
+                 FatalError);
+    EXPECT_THROW(parse({"--out", "x.json", "stray"})
+                     .rejectUnknown({"append", "out"}),
+                 FatalError);
+    try {
+        parse({"--tiny", "--apend"}).rejectUnknown({"tiny", "append"});
+        ADD_FAILURE() << "--apend accepted";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("--apend"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_NO_THROW(parse({"--append", "--out", "x.json"})
+                        .rejectUnknown({"append", "out"}));
+    EXPECT_NO_THROW(parse({}).rejectUnknown({}));
+}
+
 TEST(BenchEnv, MalformedKnobsAreFatal)
 {
     for (const char *bad : {"abc", "2x", "0", "-1", "inf", "nan"}) {

@@ -10,15 +10,22 @@
  *
  * Regenerate deliberately with QZ_UPDATE_GOLDEN=1 after a change that
  * is *supposed* to alter simulated behavior, and say why in the PR.
+ *
+ * Also pins the two Fig. 13a bar pairs that are identical by
+ * construction (EXPERIMENTS.md): BiWFA = WFA on short reads, and SW
+ * QUETZAL / QUETZAL+C = SW VEC while SwgParams::qbufferRows is off.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "algos/batch.hpp"
 #include "algos/report.hpp"
+#include "algos/swg.hpp"
 #include "../tools/perf_matrix.hpp"
 
 namespace quetzal {
@@ -103,6 +110,83 @@ TEST(GoldenMetrics, KernelMatrixIsByteIdenticalToSnapshot)
     // Fig. 15b ISA-layer paths the genomics matrix exercises lightly.
     expectMatchesGolden(kernelMatrixReportJson(),
                         "golden_kernels.json");
+}
+
+/**
+ * The Fig. 13a cells of the rows named @p algos on the short-read
+ * datasets, every variant, at a small scale, keyed
+ * "algo/variant/dataset".
+ */
+std::map<std::string, algos::RunResult>
+shortReadCells(std::initializer_list<std::string_view> algos)
+{
+    algos::BatchRunner runner = pinnedRunner();
+    for (const perf::Fig13aRow &row : perf::fig13aRows(0.05)) {
+        if (std::find(algos.begin(), algos.end(), row.workload) ==
+            algos.end())
+            continue;
+        if (row.alphabet != genomics::AlphabetKind::Dna ||
+            genomics::datasetSpec(row.dataset->name).longRead)
+            continue;
+        for (const algos::Variant variant : perf::kFig13aVariants)
+            runner.add(algos::workloadByName(row.workload), row.dataset,
+                       perf::perfCellOptions(variant, row.maxLen,
+                                             row.alphabet));
+    }
+    const algos::BatchOutcome outcome = runner.run();
+    EXPECT_TRUE(outcome.ok());
+    std::map<std::string, algos::RunResult> cells;
+    for (const algos::RunResult &r : outcome.results)
+        cells[r.algo + "/" + r.variant + "/" + r.dataset] = r;
+    return cells;
+}
+
+/** Every simulated metric of @p a equals @p b's. */
+void
+expectSameSimulation(const algos::RunResult &a, const algos::RunResult &b)
+{
+    const std::string what = a.algo + " " + a.variant + " vs " + b.algo +
+                             " " + b.variant + " on " + a.dataset;
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.instructions, b.instructions) << what;
+    EXPECT_EQ(a.memRequests, b.memRequests) << what;
+    EXPECT_EQ(a.dramBytes, b.dramBytes) << what;
+    EXPECT_EQ(a.stalls, b.stalls) << what;
+}
+
+TEST(Fig13aIdentities, BiWfaEqualsWfaOnShortReads)
+{
+    // Short reads never reach BiWFA's recursion (its leaf threshold
+    // falls back to plain WFA), so these bars equal WFA's by
+    // construction — not a measured result.
+    const auto cells = shortReadCells({"WFA", "BiWFA"});
+    std::size_t compared = 0;
+    for (const auto &[key, cell] : cells) {
+        if (cell.algo != "BiWFA")
+            continue;
+        expectSameSimulation(
+            cell, cells.at("WFA/" + cell.variant + "/" + cell.dataset));
+        ++compared;
+    }
+    EXPECT_EQ(compared, 8u); // 2 short-read sets x 4 variants
+}
+
+TEST(Fig13aIdentities, SwQuetzalEqualsVecWithoutQbufferRows)
+{
+    // swgAlign hands the QUETZAL unit to the vector fill only with
+    // SwgParams::qbufferRows, which the Fig. 13a cells leave off; the
+    // QUETZAL and QUETZAL+C bars then rerun the VEC fill, whatever
+    // the dataset (the short-read sets keep this test quick).
+    ASSERT_FALSE(algos::SwgParams{}.qbufferRows);
+    const auto cells = shortReadCells({"SW"});
+    std::size_t compared = 0;
+    for (const auto &[key, cell] : cells) {
+        if (cell.variant != "QUETZAL" && cell.variant != "QUETZAL+C")
+            continue;
+        expectSameSimulation(cell, cells.at("SW/VEC/" + cell.dataset));
+        ++compared;
+    }
+    EXPECT_EQ(compared, 4u); // 2 short-read sets x 2 variants
 }
 
 TEST(GoldenMetrics, HostTimingStaysOutOfDefaultReports)

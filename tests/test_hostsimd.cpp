@@ -22,6 +22,7 @@
 #include <random>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "isa/hostsimd.hpp"
 
 namespace quetzal::isa {
@@ -281,6 +282,14 @@ TEST(HostSimdLockstep, WidenFromUnalignedTailsWithoutOverread)
             }
         }
     }
+    // An empty source may be null: every table must zero the
+    // register without touching (or, for UBSan, passing on) it.
+    W refOut[kL64], simdOut[kL64];
+    ref.widen8to32(nullptr, 0, refOut);
+    for (const HostSimdOps *t : tables) {
+        t->widen8to32(nullptr, 0, simdOut);
+        EXPECT_REGS_EQ(refOut, simdOut, t, "widen8to32(nullptr, 0)");
+    }
 }
 
 TEST(HostSimdLockstep, CompactAddressKernels)
@@ -470,6 +479,33 @@ TEST(HostSimdDispatch, ResolvedBackendIsACompiledTable)
     EXPECT_TRUE(isScalar || isAvx2 || isAvx512);
     EXPECT_NE(nullptr, hostSimdCompiler());
     EXPECT_NE(nullptr, hostSimdBuildFlags());
+}
+
+TEST(HostSimdDispatch, RequestSelectsOrRejectsBackend)
+{
+    // Unset and empty both mean auto.
+    EXPECT_EQ(&hostSimdFor(nullptr), &hostSimdFor("auto"));
+    EXPECT_EQ(&hostSimdFor(""), &hostSimdFor("auto"));
+    EXPECT_EQ(&hostSimdFor("scalar"), &hostSimdScalarOps());
+    for (const char *request : {"avx2", "avx512"}) {
+        const std::string name = hostSimdFor(request).name;
+        EXPECT_TRUE(name == "scalar" || name == request) << name;
+    }
+    // Anything else is refused, naming the value and the choices.
+    for (const char *request : {"bogus", "AVX2", "avx2 "}) {
+        try {
+            hostSimdFor(request);
+            ADD_FAILURE() << "accepted QZ_HOST_SIMD=" << request;
+        } catch (const FatalError &error) {
+            const std::string message = error.what();
+            EXPECT_NE(message.find(std::string("'") + request + "'"),
+                      std::string::npos)
+                << message;
+            for (const char *choice : {"auto", "avx512", "avx2", "scalar"})
+                EXPECT_NE(message.find(choice), std::string::npos)
+                    << message;
+        }
+    }
 }
 
 } // namespace

@@ -1074,5 +1074,208 @@ TEST(Pipeline, BurstMatchesSerialExecuteOps)
     }
 }
 
+/** One randomized stream of a cell run (see CellRunMatchesPerCellCharges). */
+CellStream
+randomStream(std::mt19937 &rng, unsigned lineBytes, unsigned tableEntries)
+{
+    // Strides: sequential either way, word-sized either way, a fixed
+    // address, and ones that cross a line on every cell.
+    const std::int64_t strides[] = {
+        1, -1, 4, -4, 0,
+        static_cast<std::int64_t>(lineBytes),
+        -static_cast<std::int64_t>(lineBytes) - 12,
+        static_cast<std::int64_t>(lineBytes) + 4};
+    const unsigned widths[] = {1, 4, 4, 8, 16};
+    // Few sites, so streams share pcs; pcs one table size apart
+    // collide on one prefetcher slot.
+    const std::uint64_t pcs[] = {0x300, 0x301, 0x302,
+                                 0x300 + tableEntries,
+                                 0x301 + 2 * tableEntries};
+    std::uniform_int_distribution<std::size_t> pickStride(
+        0, std::size(strides) - 1);
+    std::uniform_int_distribution<std::size_t> pickWidth(
+        0, std::size(widths) - 1);
+    std::uniform_int_distribution<std::size_t> pickPc(0,
+                                                      std::size(pcs) - 1);
+    // Bases anywhere in a 256 KiB window, any paragraph offset, so
+    // some accesses straddle a paragraph; far enough from zero for
+    // the negative strides.
+    std::uniform_int_distribution<Addr> pickBase(1 << 20,
+                                                 (1 << 20) + (1 << 18));
+    return CellStream{pcs[pickPc(rng)], pickBase(rng),
+                      strides[pickStride(rng)], widths[pickWidth(rng)]};
+}
+
+/** The loop-carried tags isa::BaseUnit threads through its charges. */
+struct ChainState
+{
+    Tag chain;
+    Tag pending;
+};
+
+/**
+ * Charge a random cell run on @p run through executeCellRun and on
+ * @p twin as the per-cell executeMemRun / executeOpChain /
+ * executeMemRun sequence the DP fills issued before cell runs.
+ */
+template <std::size_t N, std::size_t M>
+void
+chargeCellShape(std::mt19937 &rng, Pipeline &run, ChainState &runState,
+                Pipeline &twin, ChainState &twinState, unsigned lineBytes,
+                unsigned tableEntries)
+{
+    std::array<CellStream, N> loads{};
+    std::array<CellStream, M> stores{};
+    for (CellStream &s : loads)
+        s = randomStream(rng, lineBytes, tableEntries);
+    for (CellStream &s : stores)
+        s = randomStream(rng, lineBytes, tableEntries);
+    const unsigned aluCount = std::uniform_int_distribution<unsigned>(
+        0, 9)(rng);
+    const std::uint64_t cells =
+        std::uniform_int_distribution<std::uint64_t>(0, 40)(rng);
+
+    run.executeCellRun(loads, aluCount, stores, cells, runState.chain,
+                       runState.pending);
+
+    Tag &chain = twinState.chain;
+    Tag &pending = twinState.pending;
+    const auto at = [](const CellStream &s, std::uint64_t cell) {
+        return s.base + static_cast<Addr>(s.stride) * cell;
+    };
+    for (std::uint64_t cell = 0; cell < cells; ++cell) {
+        std::array<MemOp, N> loadOps{};
+        for (std::size_t i = 0; i < N; ++i)
+            loadOps[i] = MemOp{OpClass::ScalarLoad, loads[i].pc,
+                               at(loads[i], cell), loads[i].bytes};
+        pending = Tag::join(pending, twin.executeMemRun(loadOps, chain));
+        if (aluCount > 0) {
+            chain = twin.executeOpChain(OpClass::ScalarAlu, aluCount,
+                                        Tag::join(chain, pending));
+            pending = Tag{};
+        }
+        std::array<MemOp, M> storeOps{};
+        for (std::size_t i = 0; i < M; ++i)
+            storeOps[i] = MemOp{OpClass::ScalarStore, stores[i].pc,
+                                at(stores[i], cell), stores[i].bytes};
+        twin.executeMemRun(storeOps, chain);
+    }
+}
+
+/**
+ * Proof-by-test for Pipeline::executeCellRun and the stream memo
+ * behind it: a randomized sequence of cell runs (strides +-1, +-4, 0
+ * and line-crossing; paragraph-straddling footprints; shared pcs and
+ * colliding prefetcher slots; ALU chains of 0..9 ops), interleaved
+ * with unrelated accesses and epoch changes, must leave a core and a
+ * twin charged per cell with identical observables — cycles, each
+ * stall kind, per-class op counts, L1/L2 hits and misses, requests,
+ * DRAM bytes, translate_fast, prefetches issued — and identical
+ * chain/pending tags. Configurations cover a small conflicting L1, a
+ * disabled prefetcher, trainThreshold 0, a non-power-of-two table,
+ * and ROB/LSQ sizes down to {1, 1}. The memo fast path must engage.
+ */
+TEST(Pipeline, CellRunMatchesPerCellCharges)
+{
+    struct Config
+    {
+        bool tinyCaches;
+        bool prefetch;
+        unsigned trainThreshold, tableEntries;
+        unsigned robEntries, lsqEntries;
+    };
+    const Config configs[] = {
+        {false, true, 2, 32, 128, 40}, // the default shape
+        {true, true, 2, 32, 16, 8},    // L1 set conflicts, small queues
+        {true, false, 2, 32, 128, 40}, // prefetcher off
+        {true, true, 0, 32, 4, 2},     // trains on the first repeat
+        {false, true, 1, 7, 1, 1},     // non-power-of-two table, {1, 1}
+    };
+    unsigned configIdx = 0;
+    for (const Config &config : configs) {
+        SystemParams params;
+        params.core.robEntries = config.robEntries;
+        params.core.lsqEntries = config.lsqEntries;
+        params.prefetcher.enabled = config.prefetch;
+        params.prefetcher.trainThreshold = config.trainThreshold;
+        params.prefetcher.tableEntries = config.tableEntries;
+        if (config.tinyCaches) {
+            params.l1d = tinyCache();
+            params.l2 = CacheParams{4096, 4, 64, 12};
+        }
+        MemorySystem memRun(params);
+        MemorySystem memTwin(params);
+        Pipeline run(params, memRun);
+        Pipeline twin(params, memTwin);
+
+        std::mt19937 rng(0xCE11 + configIdx);
+        std::uniform_int_distribution<int> pickShape(0, 5);
+        std::uniform_int_distribution<Addr> pickAddr(1 << 20,
+                                                     (1 << 20) + (1 << 18));
+        const unsigned line = params.l1d.lineBytes;
+        const unsigned table = config.tableEntries;
+        ChainState runState, twinState;
+        for (int step = 0; step < 400; ++step) {
+            switch (pickShape(rng)) {
+              case 0: // the NW shape
+                chargeCellShape<5, 1>(rng, run, runState, twin,
+                                      twinState, line, table);
+                break;
+              case 1: // the SWG shape
+                chargeCellShape<7, 3>(rng, run, runState, twin,
+                                      twinState, line, table);
+                break;
+              case 2:
+                chargeCellShape<1, 0>(rng, run, runState, twin,
+                                      twinState, line, table);
+                break;
+              case 3:
+                chargeCellShape<0, 2>(rng, run, runState, twin,
+                                      twinState, line, table);
+                break;
+              case 4: {
+                // Unrelated traffic between runs moves MRU lines and
+                // prefetcher entries under any memo kept across runs.
+                const Addr addr = pickAddr(rng);
+                run.executeMem(OpClass::ScalarLoad, 0x300, addr, 4, {});
+                twin.executeMem(OpClass::ScalarLoad, 0x300, addr, 4, {});
+                break;
+              }
+              default:
+                memRun.newEpoch();
+                memTwin.newEpoch();
+                break;
+            }
+            for (const auto &[a, b] :
+                 {std::pair{runState.chain, twinState.chain},
+                  std::pair{runState.pending, twinState.pending}}) {
+                ASSERT_EQ(a.ready, b.ready)
+                    << "config " << configIdx << " step " << step;
+                ASSERT_EQ(a.mem, b.mem)
+                    << "config " << configIdx << " step " << step;
+            }
+            expectSameObservables(run, twin, configIdx, step);
+        }
+        for (unsigned c = 0;
+             c < static_cast<unsigned>(OpClass::NumClasses); ++c)
+            EXPECT_EQ(run.opCount(static_cast<OpClass>(c)),
+                      twin.opCount(static_cast<OpClass>(c)))
+                << "config " << configIdx << " class " << c;
+        EXPECT_EQ(memRun.totalRequests(), memTwin.totalRequests());
+        EXPECT_EQ(memRun.dramBytes(), memTwin.dramBytes());
+        EXPECT_EQ(memRun.l1d().hits(), memTwin.l1d().hits());
+        EXPECT_EQ(memRun.l1d().misses(), memTwin.l1d().misses());
+        EXPECT_EQ(memRun.l2().hits(), memTwin.l2().hits());
+        EXPECT_EQ(memRun.l2().misses(), memTwin.l2().misses());
+        EXPECT_EQ(memRun.stats().get("translate_fast").value(),
+                  memTwin.stats().get("translate_fast").value());
+        EXPECT_EQ(memRun.l1Prefetcher().issued(),
+                  memTwin.l1Prefetcher().issued());
+        EXPECT_GT(memRun.streamLineHits(), 0u) << "config " << configIdx;
+        EXPECT_EQ(memTwin.streamLineHits(), 0u);
+        ++configIdx;
+    }
+}
+
 } // namespace
 } // namespace quetzal::sim

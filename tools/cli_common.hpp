@@ -5,12 +5,15 @@
 #ifndef QUETZAL_TOOLS_CLI_COMMON_HPP
 #define QUETZAL_TOOLS_CLI_COMMON_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <iostream>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <signal.h>
@@ -165,6 +168,22 @@ class Args
     const std::vector<std::string> &positional() const
     {
         return positional_;
+    }
+
+    /**
+     * Fatal diagnostic for the first option not in @p known, or the
+     * first positional argument (for tools that take none).
+     */
+    void
+    rejectUnknown(std::initializer_list<std::string_view> known) const
+    {
+        for (const auto &[key, value] : options_)
+            fatal_if(std::find(known.begin(), known.end(), key) ==
+                         known.end(),
+                     "unknown option --{} (see --help)", key);
+        if (!positional_.empty())
+            fatal("unexpected argument '{}' (see --help)",
+                  positional_.front());
     }
 
   private:

@@ -10,36 +10,7 @@
  * while tracking host throughput across revisions in
  * BENCH_hostperf.json (see docs/SIMULATOR.md, "Host performance").
  *
- * Usage:
- *   qz-perf [--tiny | --kernels | --store S] [--scale S] [--threads N]
- *           [--repeat R] [--label NAME] [--out FILE] [--append]
- *           [--metrics FILE] [--phase]
- *
- *  --tiny     sweep the 12-cell golden subset instead of Fig. 13a
- *  --kernels  sweep the Fig. 15b kernel cells (histogram/SpMV) at the
- *             pinned tiny scale instead of Fig. 13a
- *  --store    stream one read-store range (FILE[:FROM-TO],
- *             docs/STORE.md) as a single cell — the large-scale
- *             bounded-memory sweep; --algo/--variant pick the
- *             workload (default SS, qzc). The record gains "pairs"
- *             and "rss_peak_kb" so BENCH_hostperf.json documents
- *             that RSS stays bounded however large the store is
- *  --scale    dataset scale for the full matrix (default 1.0)
- *  --threads  harness workers (default 1: comparable measurements)
- *  --repeat   time R sweeps and keep the fastest (default 1)
- *  --label    name this run carries in the output (default "current")
- *  --out      throughput record path (default BENCH_hostperf.json)
- *  --append   add this run to --out's existing "runs" array, so one
- *             file can hold baseline and current for comparison
- *  --metrics  also write the sweep's BenchReport JSON (simulated
- *             metrics only) for diffing against the golden snapshot
- *  --phase    attribute host time to simulator phases (memory system /
- *             rest of the timing pipeline / host-SIMD functional
- *             kernels / scalar+harness remainder) via sim::HostPhase
- *             scopes; single-thread only, and the breakdown is
- *             reported for the fastest sweep's phase profile
- *             (phase_mem_ns, phase_pipeline_ns,
- *             phase_functional_simd_ns, phase_functional_scalar_ns)
+ * Options: see kUsage below (printed by --help).
  *
  * Exit status: 0 on success, 1 when a cell failed or the input was
  * rejected (one "fatal:" line on stderr), 2 on an internal error.
@@ -73,6 +44,40 @@
 namespace {
 
 using namespace quetzal;
+
+/** The --help text; also the list of options runPerf accepts. */
+constexpr const char *kUsage = R"(usage:
+  qz-perf [--tiny | --kernels | --store S] [--scale S] [--threads N]
+          [--repeat R] [--label NAME] [--out FILE] [--append]
+          [--metrics FILE] [--phase]
+
+ --tiny     sweep the 12-cell golden subset instead of Fig. 13a
+ --kernels  sweep the Fig. 15b kernel cells (histogram/SpMV) at the
+            pinned tiny scale instead of Fig. 13a
+ --store    stream one read-store range (FILE[:FROM-TO],
+            docs/STORE.md) as a single cell: the large-scale
+            bounded-memory sweep; --algo/--variant pick the
+            workload (default SS, qzc). The record gains "pairs"
+            and "rss_peak_kb" so BENCH_hostperf.json documents
+            that RSS stays bounded however large the store is
+ --scale    dataset scale for the full matrix (default 1.0)
+ --threads  harness workers (default 1: comparable measurements)
+ --repeat   time R sweeps and keep the fastest (default 1)
+ --label    name this run carries in the output (default "current")
+ --out      throughput record path (default BENCH_hostperf.json)
+ --append   add this run to --out's existing "runs" array, so one
+            file can hold baseline and current for comparison
+ --metrics  also write the sweep's BenchReport JSON (simulated
+            metrics only) for diffing against the golden snapshot
+ --phase    attribute host time to simulator phases (memory system /
+            rest of the timing pipeline / host-SIMD functional
+            kernels / scalar+harness remainder) via sim::HostPhase
+            scopes; single-thread only, and the breakdown is
+            reported for the fastest sweep's phase profile
+            (phase_mem_ns, phase_pipeline_ns,
+            phase_functional_simd_ns, phase_functional_scalar_ns)
+ --help     print this text and exit
+)";
 
 /** Host-time phase profile of one sweep (see sim::HostPhase). */
 struct PhaseProfile
@@ -310,6 +315,15 @@ runPerf(int argc, char **argv)
 {
     using namespace quetzal;
     cli::Args args(argc, argv);
+    if (args.has("help")) {
+        std::cout << kUsage;
+        return 0;
+    }
+    // Checked before any sweep or write: a mistyped option must not
+    // run a 17 s sweep and then overwrite the runs file.
+    args.rejectUnknown({"tiny", "kernels", "store", "algo", "variant",
+                        "scale", "threads", "repeat", "label", "out",
+                        "append", "metrics", "phase"});
 
     const bool tiny = args.has("tiny");
     const bool kernels = args.has("kernels");
