@@ -130,7 +130,8 @@ fatal_if(bool cond, std::string_view fmt, Args &&...args)
 /**
  * Run @p body as a process's main(): its result is the exit code, a
  * fatal() exits 1 and a panic() exits 2. Both have already printed
- * their one diagnostic line, so nothing more is printed.
+ * their one diagnostic line, so nothing more is printed. Any other
+ * exception prints its message as one "error:" line and exits 1.
  */
 template <typename Body>
 int
@@ -142,6 +143,9 @@ guardedMain(Body &&body)
         return 1;
     } catch (const PanicError &) {
         return 2;
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
     }
 }
 

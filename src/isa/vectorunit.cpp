@@ -5,8 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "sim/hostphase.hpp"
-
 namespace quetzal::isa {
 
 using sim::Addr;
@@ -23,19 +21,13 @@ toAddr(const void *ptr)
     return reinterpret_cast<Addr>(ptr);
 }
 
-using Func = sim::HostPhase::Scope;
-constexpr auto kFunc = sim::HostPhase::Func;
-
 } // namespace
 
 VReg
 VectorUnit::binOp(BinKernel op, const VReg &a, const VReg &b)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        op(a.words.data(), b.words.data(), out.words.data());
-    }
+    op(a.words.data(), b.words.data(), out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {a.tag, b.tag});
     return out;
 }
@@ -44,11 +36,7 @@ Pred
 VectorUnit::compareOp(CmpKernel cmp, const VReg &a, const VReg &b,
                       const Pred &p, unsigned lim)
 {
-    std::uint64_t bits;
-    {
-        Func scope(kFunc);
-        bits = cmp(a.words.data(), b.words.data());
-    }
+    const std::uint64_t bits = cmp(a.words.data(), b.words.data());
     Pred out;
     out.mask = bits & lowMask(lim) & p.mask;
     out.tag = pipeline_.executeOp(OpClass::VecCmp,
@@ -114,11 +102,8 @@ VectorUnit::widenLanes8to32(const void *ptr, unsigned n, sim::Tag tag)
 {
     panic_if_not(n <= kLanes32, "widening load of {} bytes", n);
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.widen8to32(static_cast<const std::uint8_t *>(ptr), n,
-                         out.words.data());
-    }
+    simd_.widen8to32(static_cast<const std::uint8_t *>(ptr), n,
+                     out.words.data());
     out.tag = tag;
     return out;
 }
@@ -140,12 +125,8 @@ VectorUnit::gather8(SiteId site, const void *base, const VReg &idx,
     panic_if_not(n <= kLanes32, "gather8 over {} elements", n);
     const auto *bytes = static_cast<const std::uint8_t *>(base);
     const std::uint64_t active = p.mask & lowMask(n);
-    std::size_t count;
-    {
-        Func scope(kFunc);
-        count = simd_.compactAddrU32(toAddr(base), idx.words.data(), 0,
-                                     active, addrScratch_.data());
-    }
+    const std::size_t count = simd_.compactAddrU32(
+        toAddr(base), idx.words.data(), 0, active, addrScratch_.data());
     const VReg::Lanes32 is = idx.lanesU32();
     VReg::Lanes32 rs{};
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
@@ -166,12 +147,8 @@ VectorUnit::gather32(SiteId site, const std::int32_t *base,
 {
     panic_if_not(n <= kLanes32, "gather32 over {} elements", n);
     const std::uint64_t active = p.mask & lowMask(n);
-    std::size_t count;
-    {
-        Func scope(kFunc);
-        count = simd_.compactAddrU32(toAddr(base), idx.words.data(), 2,
-                                     active, addrScratch_.data());
-    }
+    const std::size_t count = simd_.compactAddrU32(
+        toAddr(base), idx.words.data(), 2, active, addrScratch_.data());
     const VReg::Lanes32 is = idx.lanesU32();
     VReg::LanesI32 rs{};
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
@@ -193,12 +170,8 @@ VectorUnit::gatherU32(SiteId site, const void *base, const VReg &idx,
     panic_if_not(n <= kLanes32, "gatherU32 over {} elements", n);
     const auto *bytes = static_cast<const std::uint8_t *>(base);
     const std::uint64_t active = p.mask & lowMask(n);
-    std::size_t count;
-    {
-        Func scope(kFunc);
-        count = simd_.compactAddrI32(toAddr(base), idx.words.data(),
-                                     active, addrScratch_.data());
-    }
+    const std::size_t count = simd_.compactAddrI32(
+        toAddr(base), idx.words.data(), active, addrScratch_.data());
     const VReg::LanesI32 is = idx.lanesI32();
     VReg::Lanes32 rs{};
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
@@ -221,12 +194,8 @@ VectorUnit::gather64(SiteId site, const std::uint64_t *base,
 {
     panic_if_not(n <= kLanes64, "gather64 over {} lanes", n);
     const std::uint64_t active = p.mask & lowMask(n);
-    std::size_t count;
-    {
-        Func scope(kFunc);
-        count = simd_.compactAddr64(toAddr(base), idx.words.data(), 3,
-                                    active, addrScratch_.data());
-    }
+    const std::size_t count = simd_.compactAddr64(
+        toAddr(base), idx.words.data(), 3, active, addrScratch_.data());
     VReg out;
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
         const unsigned i = static_cast<unsigned>(std::countr_zero(m));
@@ -244,12 +213,8 @@ VectorUnit::scatter32(SiteId site, std::int32_t *base, const VReg &idx,
 {
     panic_if_not(n <= kLanes32, "scatter32 over {} elements", n);
     const std::uint64_t active = p.mask & lowMask(n);
-    std::size_t count;
-    {
-        Func scope(kFunc);
-        count = simd_.compactAddrU32(toAddr(base), idx.words.data(), 2,
-                                     active, addrScratch_.data());
-    }
+    const std::size_t count = simd_.compactAddrU32(
+        toAddr(base), idx.words.data(), 2, active, addrScratch_.data());
     const VReg::Lanes32 is = idx.lanesU32();
     const VReg::LanesI32 vs = value.lanesI32();
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
@@ -267,12 +232,8 @@ VectorUnit::scatter64(SiteId site, std::uint64_t *base, const VReg &idx,
 {
     panic_if_not(n <= kLanes64, "scatter64 over {} lanes", n);
     const std::uint64_t active = p.mask & lowMask(n);
-    std::size_t count;
-    {
-        Func scope(kFunc);
-        count = simd_.compactAddr64(toAddr(base), idx.words.data(), 3,
-                                    active, addrScratch_.data());
-    }
+    const std::size_t count = simd_.compactAddr64(
+        toAddr(base), idx.words.data(), 3, active, addrScratch_.data());
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
         const unsigned i = static_cast<unsigned>(std::countr_zero(m));
         base[idx.words[i]] = value.words[i];
@@ -292,10 +253,7 @@ VReg
 VectorUnit::add32i(const VReg &a, std::int32_t imm)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.addImm32(a.words.data(), imm, out.words.data());
-    }
+    simd_.addImm32(a.words.data(), imm, out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {a.tag});
     return out;
 }
@@ -322,11 +280,7 @@ VReg
 VectorUnit::addUnderPred32(const VReg &a, std::int32_t imm, const Pred &p)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.addImmPred32(a.words.data(), imm, p.mask,
-                           out.words.data());
-    }
+    simd_.addImmPred32(a.words.data(), imm, p.mask, out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {a.tag, p.tag});
     return out;
 }
@@ -335,11 +289,7 @@ VReg
 VectorUnit::addvUnderPred32(const VReg &a, const VReg &b, const Pred &p)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.addPred32(a.words.data(), b.words.data(), p.mask,
-                        out.words.data());
-    }
+    simd_.addPred32(a.words.data(), b.words.data(), p.mask, out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu,
                                   {a.tag, b.tag, p.tag});
     return out;
@@ -349,11 +299,7 @@ VReg
 VectorUnit::sel32(const Pred &p, const VReg &a, const VReg &b)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.sel32(p.mask, a.words.data(), b.words.data(),
-                    out.words.data());
-    }
+    simd_.sel32(p.mask, a.words.data(), b.words.data(), out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu,
                                   {a.tag, b.tag, p.tag});
     return out;
@@ -381,10 +327,7 @@ VReg
 VectorUnit::add64i(const VReg &a, std::int64_t imm)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.addImm64(a.words.data(), imm, out.words.data());
-    }
+    simd_.addImm64(a.words.data(), imm, out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {a.tag});
     return out;
 }
@@ -393,11 +336,7 @@ VReg
 VectorUnit::addUnderPred64(const VReg &a, std::int64_t imm, const Pred &p)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.addImmPred64(a.words.data(), imm, p.mask,
-                           out.words.data());
-    }
+    simd_.addImmPred64(a.words.data(), imm, p.mask, out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {a.tag, p.tag});
     return out;
 }
@@ -406,11 +345,7 @@ VReg
 VectorUnit::addvUnderPred64(const VReg &a, const VReg &b, const Pred &p)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.addPred64(a.words.data(), b.words.data(), p.mask,
-                        out.words.data());
-    }
+    simd_.addPred64(a.words.data(), b.words.data(), p.mask, out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu,
                                   {a.tag, b.tag, p.tag});
     return out;
@@ -420,11 +355,7 @@ VReg
 VectorUnit::sel64(const Pred &p, const VReg &a, const VReg &b)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.sel64(p.mask, a.words.data(), b.words.data(),
-                    out.words.data());
-    }
+    simd_.sel64(p.mask, a.words.data(), b.words.data(), out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu,
                                   {a.tag, b.tag, p.tag});
     return out;
@@ -462,10 +393,7 @@ VReg
 VectorUnit::widenLo32to64(const VReg &v)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.widenLo32to64(v.words.data(), out.words.data());
-    }
+    simd_.widenLo32to64(v.words.data(), out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {v.tag});
     return out;
 }
@@ -474,10 +402,7 @@ VReg
 VectorUnit::widenHi32to64(const VReg &v)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.widenHi32to64(v.words.data(), out.words.data());
-    }
+    simd_.widenHi32to64(v.words.data(), out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {v.tag});
     return out;
 }
@@ -486,11 +411,7 @@ VReg
 VectorUnit::pack64to32(const VReg &lo, const VReg &hi)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.pack64to32(lo.words.data(), hi.words.data(),
-                         out.words.data());
-    }
+    simd_.pack64to32(lo.words.data(), hi.words.data(), out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {lo.tag, hi.tag});
     return out;
 }
@@ -542,11 +463,7 @@ VReg
 VectorUnit::matchBytes32(const VReg &a, const VReg &b)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.matchBytes32(a.words.data(), b.words.data(),
-                           out.words.data());
-    }
+    simd_.matchBytes32(a.words.data(), b.words.data(), out.words.data());
     // Two dependent instructions: byte compare + break/count.
     const sim::Tag mid =
         pipeline_.executeOp(OpClass::VecCmp, {a.tag, b.tag});
@@ -558,11 +475,7 @@ VReg
 VectorUnit::matchBytes32Rev(const VReg &a, const VReg &b)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.matchBytes32Rev(a.words.data(), b.words.data(),
-                              out.words.data());
-    }
+    simd_.matchBytes32Rev(a.words.data(), b.words.data(), out.words.data());
     const sim::Tag mid =
         pipeline_.executeOp(OpClass::VecCmp, {a.tag, b.tag});
     out.tag = pipeline_.executeOp(OpClass::VecPred, {mid});
@@ -573,10 +486,7 @@ VReg
 VectorUnit::ctz64(const VReg &a)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.ctz64(a.words.data(), out.words.data());
-    }
+    simd_.ctz64(a.words.data(), out.words.data());
     // rbit + clz on SVE: two instructions.
     const sim::Tag mid = pipeline_.executeOp(OpClass::VecAlu, {a.tag});
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {mid});
@@ -587,10 +497,7 @@ VReg
 VectorUnit::clz64(const VReg &a)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.clz64(a.words.data(), out.words.data());
-    }
+    simd_.clz64(a.words.data(), out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {a.tag});
     return out;
 }
@@ -623,10 +530,7 @@ VReg
 VectorUnit::shr64i(const VReg &a, unsigned shift)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.shr64(a.words.data(), shift, out.words.data());
-    }
+    simd_.shr64(a.words.data(), shift, out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {a.tag});
     return out;
 }
@@ -635,10 +539,7 @@ VReg
 VectorUnit::shl64i(const VReg &a, unsigned shift)
 {
     VReg out;
-    {
-        Func scope(kFunc);
-        simd_.shl64(a.words.data(), shift, out.words.data());
-    }
+    simd_.shl64(a.words.data(), shift, out.words.data());
     out.tag = pipeline_.executeOp(OpClass::VecAlu, {a.tag});
     return out;
 }

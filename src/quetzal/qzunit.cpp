@@ -7,7 +7,6 @@
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
 #include "isa/hostsimd.hpp"
-#include "sim/hostphase.hpp"
 
 namespace quetzal::accel {
 
@@ -236,12 +235,8 @@ VReg
 QzUnit::qzcount(const VReg &val0, const VReg &val1)
 {
     VReg out;
-    {
-        sim::HostPhase::Scope scope(sim::HostPhase::Func);
-        isa::hostSimd().qzcount(val0.words.data(), val1.words.data(),
-                                CountAlu::shiftFor(esiz_),
-                                out.words.data());
-    }
+    isa::hostSimd().qzcount(val0.words.data(), val1.words.data(),
+                            CountAlu::shiftFor(esiz_), out.words.data());
     out.tag = vpu_.pipeline().executeQz(OpClass::QzCount,
                                         CountAlu::kPipelineDepth,
                                         {val0.tag, val1.tag});

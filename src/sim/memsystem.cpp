@@ -4,7 +4,6 @@
 
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
-#include "sim/hostphase.hpp"
 
 namespace quetzal::sim {
 
@@ -178,7 +177,6 @@ MemorySystem::accessVector(std::uint64_t pc, std::span<const Addr> addrs,
                            unsigned elemBytes, bool write,
                            std::span<unsigned> latencies)
 {
-    const HostPhase::Scope scope(HostPhase::Mem);
     fatal_if(latencies.size() < addrs.size(),
              "accessVector latency span ({}) shorter than lane count ({})",
              latencies.size(), addrs.size());
@@ -187,7 +185,7 @@ MemorySystem::accessVector(std::uint64_t pc, std::span<const Addr> addrs,
     // training, and recency updates are bit-identical; batching only
     // keeps the translation/MRU fast paths warm across the burst.
     for (std::size_t i = 0; i < addrs.size(); ++i)
-        latencies[i] = accessOne(pc, addrs[i], elemBytes, write);
+        latencies[i] = access(pc, addrs[i], elemBytes, write);
 }
 
 } // namespace quetzal::sim

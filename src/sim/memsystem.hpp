@@ -29,7 +29,6 @@
 
 #include "common/stats.hpp"
 #include "sim/cache.hpp"
-#include "sim/hostphase.hpp"
 #include "sim/prefetcher.hpp"
 
 namespace quetzal::sim {
@@ -49,12 +48,28 @@ class MemorySystem
      *              probe each line and return the worst latency.
      * @param write true for stores (timed like loads; write-allocate).
      * @return load-to-use latency in cycles.
+     *
+     * Most requests (scalar loads/stores, gather elements) fit inside
+     * one paragraph: one translation, one line probe, no loop state —
+     * that case resolves inline; footprints crossing a paragraph
+     * boundary take the out-of-line walk.
      */
     QZ_CACHE_ALWAYS_INLINE unsigned
     access(std::uint64_t pc, Addr addr, unsigned bytes, bool write)
     {
-        const HostPhase::Scope scope(HostPhase::Mem);
-        return accessOne(pc, addr, bytes, write);
+        // Stores are write-allocate and, for timing purposes, behave
+        // like loads (the LSQ hides store latency; the occupancy cost
+        // is modeled in the pipeline).
+        (void)write;
+        const unsigned shift = l1LineShift_;
+        const Addr first = addr / kParagraphBytes;
+        const Addr last =
+            (addr + (bytes > 1 ? bytes : 1u) - 1) / kParagraphBytes;
+        if (first == last) [[likely]] {
+            const Addr simLine = translate(addr) >> shift;
+            return accessLine(pc, simLine << shift);
+        }
+        return accessSpanning(pc, addr, first, last);
     }
 
     /**
@@ -108,7 +123,7 @@ class MemorySystem
      *  - on such a line repeat, the prefetcher update is skipped too
      *    when the stream owns its slot and the entry is settled on
      *    the line (settled() — the update would be a no-op).
-     * Every other access takes accessOne()'s steps and refreshes the
+     * Every other access takes access()'s steps and refreshes the
      * memo; a paragraph-straddling one takes the multi-paragraph walk
      * and clears it.
      */
@@ -116,7 +131,6 @@ class MemorySystem
     accessStream(StreamMemo &s, std::uint64_t pc, Addr addr,
                  unsigned bytes)
     {
-        const HostPhase::Scope scope(HostPhase::Mem);
         const Addr par = addr / kParagraphBytes;
         const Addr last =
             (addr + (bytes > 1 ? bytes : 1u) - 1) / kParagraphBytes;
@@ -300,33 +314,7 @@ class MemorySystem
     /** accessLine() continuation after an L1 miss. */
     unsigned missToL2(Addr addr);
 
-    /**
-     * access() body without the host-phase scope: accessVector opens
-     * one scope for the whole burst and calls this per lane. Most
-     * requests (scalar loads/stores, gather elements) fit inside one
-     * paragraph: one translation, one line probe, no loop state —
-     * that case resolves inline; footprints crossing a paragraph
-     * boundary take the out-of-line walk.
-     */
-    QZ_CACHE_ALWAYS_INLINE unsigned
-    accessOne(std::uint64_t pc, Addr addr, unsigned bytes, bool write)
-    {
-        // Stores are write-allocate and, for timing purposes, behave
-        // like loads (the LSQ hides store latency; the occupancy cost
-        // is modeled in the pipeline).
-        (void)write;
-        const unsigned shift = l1LineShift_;
-        const Addr first = addr / kParagraphBytes;
-        const Addr last =
-            (addr + (bytes > 1 ? bytes : 1u) - 1) / kParagraphBytes;
-        if (first == last) [[likely]] {
-            const Addr simLine = translate(addr) >> shift;
-            return accessLine(pc, simLine << shift);
-        }
-        return accessSpanning(pc, addr, first, last);
-    }
-
-    /** accessOne() continuation for multi-paragraph footprints. */
+    /** access() continuation for multi-paragraph footprints. */
     unsigned accessSpanning(std::uint64_t pc, Addr addr, Addr first,
                             Addr last);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "sim/hostphase.hpp"
 
 namespace quetzal::sim {
 
@@ -90,7 +89,6 @@ Pipeline::badOpClass(OpClass cls)
 Tag
 Pipeline::executeOp(OpClass cls, Tag dep)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     const OpSpec spec = opSpec(cls);
     const Cycle issue = resolveIssue(dep, *spec.pool, 1, 0);
     const Cycle completion = issue + spec.latency;
@@ -101,7 +99,6 @@ Pipeline::executeOp(OpClass cls, Tag dep)
 void
 Pipeline::executeOpBurst(OpClass cls, unsigned count)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     if (count == 0)
         return;
     const OpSpec spec = opSpec(cls);
@@ -230,14 +227,12 @@ Tag
 Pipeline::executeMem(OpClass cls, std::uint64_t pc, Addr addr,
                      unsigned bytes, Tag dep)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     return memOpImpl(cls, pc, addr, bytes, dep);
 }
 
 Tag
 Pipeline::executeMemRun(std::span<const MemOp> ops, Tag dep)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     Tag out{};
     for (const MemOp &op : ops)
         out = Tag::join(out,
@@ -250,7 +245,6 @@ void
 Pipeline::executeMemRun(std::span<const MemOp> ops, Tag dep,
                         std::span<Tag> tags)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     panic_if_not(tags.size() >= ops.size(),
                  "executeMemRun: {} tag slots for {} ops", tags.size(),
                  ops.size());
@@ -262,7 +256,6 @@ Pipeline::executeMemRun(std::span<const MemOp> ops, Tag dep,
 Tag
 Pipeline::executeOpChain(OpClass cls, unsigned count, Tag dep)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     return opChainImpl(cls, opSpec(cls), count, dep);
 }
 
@@ -271,7 +264,6 @@ Pipeline::executeIndexed(OpClass cls, std::uint64_t pc,
                          std::span<const Addr> addrs, unsigned elemBytes,
                          Tag dep)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     panic_if_not(cls == OpClass::VecGather || cls == OpClass::VecScatter,
                  "executeIndexed: bad class {}", static_cast<int>(cls));
     const CoreParams &core = params_.core;
@@ -308,7 +300,6 @@ Tag
 Pipeline::executeQz(OpClass cls, unsigned latency, Tag dep,
                     bool commitSerialized)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     const Cycle issue = resolveIssue(dep, vecPipes_, 1, 0);
     // Commit-time execution (QBUFFER writes, Section IV-E): the op
     // waits in the issue queue until it is the oldest in flight, but
@@ -324,7 +315,6 @@ Pipeline::executeQz(OpClass cls, unsigned latency, Tag dep,
 void
 Pipeline::bubble(unsigned cycles, StallKind kind)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     attribute(cycle_, cycle_ + cycles, kind);
     cycle_ += cycles;
     slotInCycle_ = 0;

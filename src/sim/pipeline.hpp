@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "sim/hostphase.hpp"
 #include "sim/memsystem.hpp"
 #include "sim/params.hpp"
 
@@ -410,12 +409,11 @@ class Pipeline
     }
     [[noreturn]] QZ_SIM_NOINLINE_COLD void badOpClass(OpClass cls);
 
-    /** executeMem body without the host-phase scope: executeMemRun
-     *  opens one scope for the whole run and invokes this per op. */
+    /** executeMem body, force-inlined into executeMemRun's loop. */
     Tag memOpImpl(OpClass cls, std::uint64_t pc, Addr addr,
                   unsigned bytes, Tag dep);
 
-    /** executeOpChain body without the host-phase scope. */
+    /** executeOpChain body for an already-resolved @p spec. */
     QZ_SIM_ALWAYS_INLINE Tag
     opChainImpl(OpClass cls, const OpSpec &spec, unsigned count, Tag dep)
     {
@@ -623,7 +621,6 @@ Pipeline::executeCellRun(const std::array<CellStream, N> &loads,
                          const std::array<CellStream, M> &stores,
                          std::uint64_t cells, Tag &chain, Tag &pending)
 {
-    const HostPhase::Scope scope(HostPhase::Pipeline);
     std::array<std::uint64_t, N + M> pcs{};
     for (std::size_t i = 0; i < N; ++i)
         pcs[i] = loads[i].pc;

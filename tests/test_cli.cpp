@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,31 @@ TEST(Cli, UnknownOptionOrArgumentIsFatal)
     EXPECT_NO_THROW(parse({}).rejectUnknown({}));
 }
 
+TEST(Cli, DeclaredPositionalsPassButUnknownOptionsStillFail)
+{
+    // qz-align/qz-filter/qz-serve take one input file, qz-merge any
+    // number of shard reports; only a positional past that count is
+    // stray.
+    EXPECT_NO_THROW(parse({"pairs.txt", "--algo", "wfa"})
+                        .rejectUnknown({"algo", "variant"}, 1));
+    EXPECT_THROW(parse({"pairs.txt", "--algo", "wfa", "--varaint", "base"})
+                     .rejectUnknown({"algo", "variant"}, 1),
+                 FatalError);
+    try {
+        parse({"a.txt", "b.txt"}).rejectUnknown({}, 1);
+        ADD_FAILURE() << "second positional accepted";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("'b.txt'"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_NO_THROW(parse({"s1.json", "s2.json", "s3.json", "--out", "m"})
+                        .rejectUnknown({"out"}, kAnyPositionals));
+    EXPECT_THROW(parse({"s1.json", "s2.json", "--ot", "m"})
+                     .rejectUnknown({"out"}, kAnyPositionals),
+                 FatalError);
+}
+
 TEST(BenchEnv, MalformedKnobsAreFatal)
 {
     for (const char *bad : {"abc", "2x", "0", "-1", "inf", "nan"}) {
@@ -177,6 +203,10 @@ TEST(BenchEnv, GuardedMainMapsErrorsToExitCodes)
     EXPECT_EQ(guardedMain([]() -> int { fatal("bad input"); }),
               1);
     EXPECT_EQ(guardedMain([]() -> int { panic("bug"); }), 2);
+    EXPECT_EQ(guardedMain([]() -> int {
+                  throw std::runtime_error("disk full");
+              }),
+              1);
 }
 
 } // namespace

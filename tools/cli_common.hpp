@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -79,6 +80,10 @@ looksLikeNumber(const std::string &arg)
     std::strtod(arg.c_str(), &end);
     return end == arg.c_str() + arg.size() && errno == 0;
 }
+
+/** rejectUnknown() bound for tools that take any number of files. */
+inline constexpr std::size_t kAnyPositionals =
+    std::numeric_limits<std::size_t>::max();
 
 /** Parsed "--key value" options plus positional arguments. */
 class Args
@@ -172,18 +177,20 @@ class Args
 
     /**
      * Fatal diagnostic for the first option not in @p known, or the
-     * first positional argument (for tools that take none).
+     * first positional argument beyond the @p maxPositional a tool
+     * takes (a PAIRFILE is 1; kAnyPositionals for a file list).
      */
     void
-    rejectUnknown(std::initializer_list<std::string_view> known) const
+    rejectUnknown(std::initializer_list<std::string_view> known,
+                  std::size_t maxPositional = 0) const
     {
         for (const auto &[key, value] : options_)
             fatal_if(std::find(known.begin(), known.end(), key) ==
                          known.end(),
                      "unknown option --{} (see --help)", key);
-        if (!positional_.empty())
+        if (positional_.size() > maxPositional)
             fatal("unexpected argument '{}' (see --help)",
-                  positional_.front());
+                  positional_[maxPositional]);
     }
 
   private:

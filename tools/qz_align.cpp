@@ -77,7 +77,7 @@ struct ShardStats
 int
 main(int argc, char **argv)
 {
-    try {
+    return guardedMain([&] {
         const cli::Args args(argc, argv);
         if (args.has("list")) {
             std::cout << algos::workloadListing();
@@ -117,6 +117,11 @@ main(int argc, char **argv)
                    "partial JSON report\n";
             return args.has("help") ? 0 : 2;
         }
+        args.rejectUnknown({"list", "store", "algo", "variant", "window",
+                            "maxlen", "cigar", "protein", "lag", "x", "o",
+                            "e", "sam", "threads", "shard", "checkpoint",
+                            "serve", "json"},
+                           1);
         cli::installStopHandlers();
 
         const cli::PairInput input = cli::openPairInput(args);
@@ -488,8 +493,5 @@ main(int argc, char **argv)
             return 1;
         }
         return 0;
-    } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    });
 }

@@ -27,7 +27,7 @@ int
 main(int argc, char **argv)
 {
     using namespace quetzal;
-    try {
+    return guardedMain([&] {
         const cli::Args args(argc, argv);
         if (args.has("help")) {
             std::cout
@@ -50,6 +50,8 @@ main(int argc, char **argv)
                    "FASTA\n";
             return 0;
         }
+        args.rejectUnknown({"dataset", "scale", "length", "error", "count",
+                            "seed", "out", "store", "fasta"});
 
         // The generator IS the dataset: catalog mode replays exactly
         // what makeDataset() would materialize (same seeds, same
@@ -149,8 +151,5 @@ main(int argc, char **argv)
             std::cout << "wrote " << generated << " reads to "
                       << args.get("fasta") << "\n";
         return 0;
-    } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    });
 }

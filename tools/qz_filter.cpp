@@ -33,7 +33,7 @@ main(int argc, char **argv)
 {
     using namespace quetzal;
     using algos::Variant;
-    try {
+    return guardedMain([&] {
         const cli::Args args(argc, argv);
         if (args.has("list")) {
             std::cout << algos::workloadListing();
@@ -69,6 +69,10 @@ main(int argc, char **argv)
                    "partial JSON report\n";
             return args.has("help") ? 0 : 2;
         }
+        args.rejectUnknown({"list", "store", "threshold", "variant",
+                            "filter", "accepted", "threads", "shard",
+                            "checkpoint", "serve", "verbose"},
+                           1);
         cli::installStopHandlers();
 
         const cli::PairInput input = cli::openPairInput(args);
@@ -347,8 +351,5 @@ main(int argc, char **argv)
             return 1;
         }
         return 0;
-    } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    });
 }

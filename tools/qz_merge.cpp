@@ -43,7 +43,7 @@ loadShardReport(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    try {
+    return guardedMain([&] {
         const cli::Args args(argc, argv);
         if (args.has("help") || args.positional().empty()) {
             std::cout
@@ -56,6 +56,7 @@ main(int argc, char **argv)
                    "               (default: stdout)\n";
             return args.has("help") ? 0 : 2;
         }
+        args.rejectUnknown({"out"}, cli::kAnyPositionals);
 
         std::vector<algos::BenchReport> shards;
         for (const std::string &path : args.positional())
@@ -75,8 +76,5 @@ main(int argc, char **argv)
             std::cout << json << "\n";
         }
         return 0;
-    } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    });
 }

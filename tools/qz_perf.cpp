@@ -37,7 +37,6 @@
 #include "common/logging.hpp"
 #include "genomics/store.hpp"
 #include "isa/hostsimd.hpp"
-#include "sim/hostphase.hpp"
 #include "cli_common.hpp"
 #include "perf_matrix.hpp"
 
@@ -49,7 +48,7 @@ using namespace quetzal;
 constexpr const char *kUsage = R"(usage:
   qz-perf [--tiny | --kernels | --store S] [--scale S] [--threads N]
           [--repeat R] [--label NAME] [--out FILE] [--append]
-          [--metrics FILE] [--phase]
+          [--metrics FILE]
 
  --tiny     sweep the 12-cell golden subset instead of Fig. 13a
  --kernels  sweep the Fig. 15b kernel cells (histogram/SpMV) at the
@@ -69,48 +68,8 @@ constexpr const char *kUsage = R"(usage:
             file can hold baseline and current for comparison
  --metrics  also write the sweep's BenchReport JSON (simulated
             metrics only) for diffing against the golden snapshot
- --phase    attribute host time to simulator phases (memory system /
-            rest of the timing pipeline / host-SIMD functional
-            kernels / scalar+harness remainder) via sim::HostPhase
-            scopes; single-thread only, and the breakdown is
-            reported for the fastest sweep's phase profile
-            (phase_mem_ns, phase_pipeline_ns,
-            phase_functional_simd_ns, phase_functional_scalar_ns)
  --help     print this text and exit
 )";
-
-/** Host-time phase profile of one sweep (see sim::HostPhase). */
-struct PhaseProfile
-{
-    std::uint64_t memNs = 0;      //!< MemorySystem access + translate
-    std::uint64_t pipelineNs = 0; //!< Pipeline entry points, minus mem
-    std::uint64_t funcSimdNs = 0; //!< dispatched host-SIMD kernel table
-    std::uint64_t funcScalarNs = 0; //!< remaining facade + harness
-};
-
-/** Snapshot the HostPhase counters against @p totalNs wall time. */
-PhaseProfile
-capturePhases(std::uint64_t totalNs)
-{
-    PhaseProfile prof;
-    prof.memNs = sim::HostPhase::nanos(sim::HostPhase::Mem);
-    const std::uint64_t pipeTotal =
-        sim::HostPhase::nanos(sim::HostPhase::Pipeline);
-    // Every MemorySystem access happens under a Pipeline entry point,
-    // so the exclusive pipeline share is the difference; clamp anyway
-    // so clock jitter can never wrap the unsigned subtraction.
-    prof.pipelineNs = pipeTotal > prof.memNs ? pipeTotal - prof.memNs : 0;
-    // The functional share splits into time inside the dispatched
-    // host-SIMD kernel table (kind Func — on a scalar-only build these
-    // are the scalar reference kernels reached through the same
-    // dispatch) and everything else: facade bookkeeping, algorithm
-    // control flow, the harness.
-    prof.funcSimdNs = sim::HostPhase::nanos(sim::HostPhase::Func);
-    const std::uint64_t accounted =
-        prof.memNs + prof.pipelineNs + prof.funcSimdNs;
-    prof.funcScalarNs = totalNs > accounted ? totalNs - accounted : 0;
-    return prof;
-}
 
 /** Peak resident set size of this process so far, in KiB. */
 std::uint64_t
@@ -131,8 +90,7 @@ std::string
 runRecord(const std::string &label, const std::string &matrix,
           double scale, unsigned threads, std::size_t cells,
           unsigned repeat, std::uint64_t hostNs,
-          const algos::BatchOutcome &outcome,
-          const PhaseProfile *phases, std::uint64_t pairs = 0,
+          const algos::BatchOutcome &outcome, std::uint64_t pairs = 0,
           std::uint64_t rssPeakKb = 0)
 {
     std::uint64_t instructions = 0, memRequests = 0, cycles = 0,
@@ -175,11 +133,6 @@ runRecord(const std::string &label, const std::string &matrix,
     if (pairs > 0)
         json.field("pairs", pairs)
             .field("rss_peak_kb", rssPeakKb);
-    if (phases != nullptr)
-        json.field("phase_mem_ns", phases->memNs)
-            .field("phase_pipeline_ns", phases->pipelineNs)
-            .field("phase_functional_simd_ns", phases->funcSimdNs)
-            .field("phase_functional_scalar_ns", phases->funcScalarNs);
     json.endObject();
     return json.str();
 }
@@ -323,7 +276,7 @@ runPerf(int argc, char **argv)
     // run a 17 s sweep and then overwrite the runs file.
     args.rejectUnknown({"tiny", "kernels", "store", "algo", "variant",
                         "scale", "threads", "repeat", "label", "out",
-                        "append", "metrics", "phase"});
+                        "append", "metrics"});
 
     const bool tiny = args.has("tiny");
     const bool kernels = args.has("kernels");
@@ -337,14 +290,10 @@ runPerf(int argc, char **argv)
     const std::string label = args.get("label", "current");
     const std::string outPath = args.get("out", "BENCH_hostperf.json");
     const std::string metricsPath = args.get("metrics");
-    const bool phase = args.has("phase");
     const std::string storeTarget = args.get("store");
     fatal_if(tiny && kernels, "--tiny and --kernels are exclusive");
     fatal_if(!storeTarget.empty() && (tiny || kernels),
              "--store is exclusive with --tiny/--kernels");
-    fatal_if(phase && threads != 1,
-             "--phase needs --threads 1: the functional share is "
-             "derived from single-threaded wall time");
 
     // --store: one cell streaming a read-store range. A single cell
     // keeps the summed metrics deterministic (per-pair cycle counts
@@ -387,11 +336,9 @@ runPerf(int argc, char **argv)
     runner.setShard(std::nullopt);
     runner.setFaultInjection(std::nullopt);
 
-    sim::HostPhase::setEnabled(phase);
     std::uint64_t bestNs = ~std::uint64_t{0};
     std::size_t cells = 0;
     algos::BatchOutcome outcome;
-    PhaseProfile phases;
     for (unsigned r = 0; r < repeat; ++r) {
         if (storeSource) {
             runner.add(*storeWorkload, storeSource, storeOptions);
@@ -400,7 +347,6 @@ runPerf(int argc, char **argv)
             cells = kernels ? perf::addKernelMatrix(runner)
                             : perf::addPerfMatrix(runner, scale, tiny);
         }
-        sim::HostPhase::reset();
         const auto started = std::chrono::steady_clock::now();
         algos::BatchOutcome sweep = runner.run();
         const auto ns = static_cast<std::uint64_t>(
@@ -413,8 +359,6 @@ runPerf(int argc, char **argv)
         if (ns < bestNs) {
             bestNs = ns;
             outcome = std::move(sweep);
-            if (phase)
-                phases = capturePhases(ns);
         }
     }
 
@@ -423,8 +367,7 @@ runPerf(int argc, char **argv)
     const std::uint64_t rssKb = storeSource ? peakRssKb() : 0;
     const std::string record =
         runRecord(label, matrix, recordedScale, threads, cells, repeat,
-                  bestNs, outcome, phase ? &phases : nullptr,
-                  storePairs, rssKb);
+                  bestNs, outcome, storePairs, rssKb);
     std::uint64_t instructions = 0, memRequests = 0;
     for (const auto &result : outcome.results) {
         instructions += result.instructions;
@@ -450,26 +393,6 @@ runPerf(int argc, char **argv)
     if (storeSource)
         std::cout << "  pairs:          " << storePairs << "\n"
                   << "  peak RSS:       " << rssKb << " KiB\n";
-    if (phase) {
-        auto pct = [&](std::uint64_t ns) {
-            return bestNs == 0 ? 0.0
-                               : 100.0 * static_cast<double>(ns) /
-                                     static_cast<double>(bestNs);
-        };
-        std::cout << "  phase breakdown (fastest sweep):\n"
-                  << "    memory system:     "
-                  << static_cast<double>(phases.memNs) / 1e9 << " s ("
-                  << pct(phases.memNs) << "%)\n"
-                  << "    timing pipeline:   "
-                  << static_cast<double>(phases.pipelineNs) / 1e9
-                  << " s (" << pct(phases.pipelineNs) << "%)\n"
-                  << "    functional simd:   "
-                  << static_cast<double>(phases.funcSimdNs) / 1e9
-                  << " s (" << pct(phases.funcSimdNs) << "%)\n"
-                  << "    functional scalar: "
-                  << static_cast<double>(phases.funcScalarNs) / 1e9
-                  << " s (" << pct(phases.funcScalarNs) << "%)\n";
-    }
     writeRuns(outPath, record, args.has("append"));
 
     if (!metricsPath.empty()) {

@@ -73,7 +73,7 @@ parseRequestLine(const std::string &line, std::size_t lineNo,
 int
 main(int argc, char **argv)
 {
-    try {
+    return guardedMain([&] {
         const cli::Args args(argc, argv);
 
         // Internal entry point: this process was fork/exec'd as a
@@ -126,6 +126,10 @@ main(int argc, char **argv)
                    "see docs/SERVICE.md)\n";
             return args.has("help") ? 0 : 2;
         }
+        args.rejectUnknown({"worker", "list", "workers", "queue",
+                            "deadline", "retries", "shed", "out", "check",
+                            "quiet"},
+                           1);
 
         // Intake: one JSON request per line. Requests without an
         // explicit id get their line index, so responses are always
@@ -247,8 +251,5 @@ main(int argc, char **argv)
         if (cli::stopRequested())
             return 130;
         return stats.errors > 0 ? 1 : 0;
-    } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    });
 }
