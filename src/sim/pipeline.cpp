@@ -1,6 +1,7 @@
 #include "sim/pipeline.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.hpp"
 
@@ -194,11 +195,7 @@ Pipeline::executeOpBurst(OpClass cls, unsigned count)
         rob_.push(RobEntry{startOf(k) + latency, false});
     rob_.push(RobEntry{startOf(count) + latency, false});
 
-    const Cycle lastCompletion = startOf(count) + latency;
-    if (lastCompletion > maxCompletion_) {
-        maxCompletion_ = lastCompletion;
-        maxCompletionFromMem_ = false;
-    }
+    maxCompletion_ = std::max(maxCompletion_, startOf(count) + latency);
     opCounts_[static_cast<std::size_t>(cls)] += count;
     instructions_ += count;
 }
@@ -257,6 +254,180 @@ Tag
 Pipeline::executeOpChain(OpClass cls, unsigned count, Tag dep)
 {
     return opChainImpl(cls, opSpec(cls), count, dep);
+}
+
+std::uint64_t
+Pipeline::openCellPeriod(std::size_t streams, unsigned aluCount,
+                         std::uint64_t cells)
+{
+    // After `period` cells the frontend slot phase repeats. The state
+    // comparison relies on an ALU chain per cell: it empties the
+    // pending tag and recomputes the chain, so both are functions of
+    // the boundary state. A run needs two periods to mark and one to
+    // compare before a skip can pay.
+    const std::uint64_t ops = streams + aluCount;
+    const std::uint64_t width = params_.core.issueWidth;
+    const std::uint64_t period = width / std::gcd(width, ops);
+    if (aluCount == 0 || cells < 4 * period)
+        return 0;
+    cellPeriodLatencies_.resize(period * streams);
+    // The ROB/LSQ at the mark is read back from the rings' popped
+    // history (FifoRing::at), which must survive one period of pushes.
+    const CoreParams &core = params_.core;
+    rob_.reserve(std::max(core.robEntries, 1u) + 1 + period * ops);
+    lsq_.reserve(std::max(core.lsqEntries, 1u) + 1 + period * streams);
+    return period;
+}
+
+void
+Pipeline::markCell(Cycle chain)
+{
+    CellMark &mark = cellMark_;
+    mark.cycle = cycle_;
+    mark.maxCompletion = maxCompletion_;
+    mark.chain = chain;
+    mark.rob = rob_.size();
+    mark.lsq = lsq_.size();
+    mark.stalls = stalls_;
+    mark.pools.assign(aguPipes_.begin(), aguPipes_.end());
+    mark.pools.insert(mark.pools.end(), scalarPipes_.begin(),
+                      scalarPipes_.end());
+}
+
+bool
+Pipeline::cellStateRepeats(std::uint64_t period, std::size_t streams,
+                           unsigned aluCount, Cycle chain)
+{
+    const CellMark &mark = cellMark_;
+    const Cycle now = cycle_;
+    const Cycle then = mark.cycle;
+    const Cycle delta = now - then;
+    if (rob_.size() != mark.rob || lsq_.size() != mark.lsq ||
+        chain != mark.chain + delta)
+        return false;
+    // A value at or below the issue pointer can never delay a later
+    // op: all such values are one stale class. A live value must sit
+    // at the same distance ahead of the pointer.
+    const auto same = [&](Cycle value, Cycle past) {
+        return value > now ? value == past + delta : past <= then;
+    };
+    if (!same(maxCompletion_, mark.maxCompletion))
+        return false;
+    const Cycle *past = mark.pools.data();
+    for (const Cycle free : aguPipes_)
+        if (!same(free, *past++))
+            return false;
+    for (const Cycle free : scalarPipes_)
+        if (!same(free, *past++))
+            return false;
+    // Each op pushed one ROB entry and each access one LSQ entry, and
+    // the sizes match, so entry i at the mark sits one period's pushes
+    // behind entry i now. The LSQ first and newest first: that is
+    // where a long store fill leaves the difference.
+    const auto lsqBack = static_cast<std::ptrdiff_t>(period * streams);
+    for (auto i = static_cast<std::ptrdiff_t>(lsq_.size()) - 1; i >= 0;
+         --i)
+        if (!same(lsq_.at(i), lsq_.at(i - lsqBack)))
+            return false;
+    const auto robBack =
+        static_cast<std::ptrdiff_t>(period * (streams + aluCount));
+    for (auto i = static_cast<std::ptrdiff_t>(rob_.size()) - 1; i >= 0;
+         --i) {
+        const RobEntry value = rob_.at(i);
+        const RobEntry pastEntry = rob_.at(i - robBack);
+        if (!same(value.done, pastEntry.done) ||
+            (value.done > now && value.mem != pastEntry.mem))
+            return false;
+    }
+    return true;
+}
+
+void
+Pipeline::snapshotCells(CellLoop &loop, Cycle chain)
+{
+    loop.slot = slotInCycle_;
+    loop.chain = chain - cycle_;
+    loop.maxCompletion = normaliseCycle(maxCompletion_);
+    loop.pools.clear();
+    for (const Cycle free : aguPipes_)
+        loop.pools.push_back(normaliseCycle(free));
+    for (const Cycle free : scalarPipes_)
+        loop.pools.push_back(normaliseCycle(free));
+    loop.rob.resize(rob_.size());
+    for (std::size_t i = 0; i < rob_.size(); ++i) {
+        const RobEntry entry = rob_.at(static_cast<std::ptrdiff_t>(i));
+        const Cycle done = normaliseCycle(entry.done);
+        loop.rob[i] = RobEntry{done, done > 0 && entry.mem};
+    }
+    loop.lsq.resize(lsq_.size());
+    for (std::size_t i = 0; i < lsq_.size(); ++i)
+        loop.lsq[i] = normaliseCycle(lsq_.at(static_cast<std::ptrdiff_t>(i)));
+    loop.startCycle = cycle_;
+    loop.startStalls = stalls_;
+}
+
+bool
+Pipeline::cellStateIs(const CellLoop &loop, Cycle chain)
+{
+    if (slotInCycle_ != loop.slot || chain - cycle_ != loop.chain ||
+        rob_.size() != loop.rob.size() || lsq_.size() != loop.lsq.size() ||
+        normaliseCycle(maxCompletion_) != loop.maxCompletion)
+        return false;
+    const Cycle *pool = loop.pools.data();
+    for (const Cycle free : aguPipes_)
+        if (normaliseCycle(free) != *pool++)
+            return false;
+    for (const Cycle free : scalarPipes_)
+        if (normaliseCycle(free) != *pool++)
+            return false;
+    for (auto i = static_cast<std::ptrdiff_t>(lsq_.size()) - 1; i >= 0;
+         --i)
+        if (normaliseCycle(lsq_.at(i)) != loop.lsq[i])
+            return false;
+    for (auto i = static_cast<std::ptrdiff_t>(rob_.size()) - 1; i >= 0;
+         --i) {
+        const RobEntry entry = rob_.at(i);
+        const Cycle done = normaliseCycle(entry.done);
+        if (done != loop.rob[i].done ||
+            (done > 0 && entry.mem != loop.rob[i].mem))
+            return false;
+    }
+    return true;
+}
+
+void
+Pipeline::fastForwardCells(Cycle advance,
+                           const std::array<Cycle, kStallKinds> &stalls,
+                           std::uint64_t times, std::uint64_t cells,
+                           std::size_t loads, unsigned aluCount,
+                           std::size_t stores, Tag &chain)
+{
+    // The scoreboard only takes maxima, adds constants and attributes
+    // differences, so a state shifted in time replays its schedule
+    // shifted. Stale values stay stale under the shift, and no op can
+    // observe them.
+    const Cycle shift = times * advance;
+    cycle_ += shift;
+    for (Cycle &free : aguPipes_)
+        free += shift;
+    for (Cycle &free : scalarPipes_)
+        free += shift;
+    for (std::size_t i = 0; i < rob_.size(); ++i)
+        rob_.at(static_cast<std::ptrdiff_t>(i)).done += shift;
+    for (std::size_t i = 0; i < lsq_.size(); ++i)
+        lsq_.at(static_cast<std::ptrdiff_t>(i)) += shift;
+    maxCompletion_ += shift;
+    chain.ready += shift;
+    for (std::size_t k = 0; k < kStallKinds; ++k)
+        stalls_[k] += times * stalls[k];
+    opCounts_[static_cast<std::size_t>(OpClass::ScalarLoad)] +=
+        cells * loads;
+    opCounts_[static_cast<std::size_t>(OpClass::ScalarAlu)] +=
+        cells * aluCount;
+    opCounts_[static_cast<std::size_t>(OpClass::ScalarStore)] +=
+        cells * stores;
+    instructions_ += cells * (loads + aluCount + stores);
+    cellRunFastCells_ += cells;
 }
 
 Tag

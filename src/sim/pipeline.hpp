@@ -24,14 +24,24 @@
  * robEntries/lsqEntries at construction, so the once-per-instruction
  * dispatch path never allocates; independent same-class op runs go
  * through a closed-form burst path (executeOpBurst) instead of N
- * trips through executeOp. Both are proven observationally identical
- * to the straightforward structures they replaced by randomized
- * lockstep tests (tests/test_sim.cpp, RingRobLsqEquivalence /
- * BurstMatchesSerialExecuteOps).
+ * trips through executeOp; and a BASE DP cell run (executeCellRun)
+ * fast-forwards through stretches whose per-cell schedule only
+ * repeats, shifted in time. The scoreboard is shift-invariant (it
+ * takes maxima, adds constants and attributes differences) and the
+ * memory system never reads time, so a run fetches its latencies
+ * ahead, compares the state at a period boundary with the state one
+ * period earlier (cycle values relative to the issue pointer, stale
+ * ones collapsed), and jumps whole periods, or recorded miss
+ * transients ("loops"), while the latencies repeat. All three are
+ * proven observationally identical to the straightforward code by
+ * randomized lockstep tests (tests/test_sim.cpp, RingRobLsqEquivalence
+ * / BurstMatchesSerialExecuteOps /
+ * CellRunFastForwardMatchesPerCellCharges).
  */
 #ifndef QUETZAL_SIM_PIPELINE_HPP
 #define QUETZAL_SIM_PIPELINE_HPP
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -56,9 +66,11 @@ namespace quetzal::sim {
  */
 #if defined(__GNUC__) || defined(__clang__)
 #define QZ_SIM_ALWAYS_INLINE __attribute__((always_inline)) inline
+#define QZ_SIM_ALWAYS_INLINE_LAMBDA __attribute__((always_inline))
 #define QZ_SIM_NOINLINE_COLD __attribute__((noinline, cold))
 #else
 #define QZ_SIM_ALWAYS_INLINE inline
+#define QZ_SIM_ALWAYS_INLINE_LAMBDA
 #define QZ_SIM_NOINLINE_COLD
 #endif
 
@@ -154,6 +166,28 @@ class FifoRing
             grow();
         buf_[tail_ & mask_] = value;
         ++tail_;
+    }
+
+    /**
+     * Element @p i places behind the oldest live one. A negative
+     * @p i reads the popped history still in the buffer: the element
+     * popped -i pops ago, intact while size() - i <= capacity().
+     */
+    QZ_SIM_ALWAYS_INLINE T &
+    at(std::ptrdiff_t i)
+    {
+        return buf_[(head_ + static_cast<std::size_t>(i)) & mask_];
+    }
+
+    std::size_t capacity() const { return mask_ + 1; }
+
+    /** Grow to hold at least @p minCapacity elements (drops the
+     *  popped history when it grows). */
+    void
+    reserve(std::size_t minCapacity)
+    {
+        while (capacity() < minCapacity)
+            grow();
     }
 
   private:
@@ -291,6 +325,8 @@ class Pipeline
      * executeMemRun / executeOpChain / executeMemRun per cell,
      * unrolled over the streams at compile time. Memory goes through
      * MemorySystem::accessStream with one run-local memo per stream.
+     * Stretches whose schedule repeats are skipped in closed form
+     * (docs/SIMULATOR.md, "Cell-run fast-forward").
      */
     template <std::size_t N, std::size_t M>
     void executeCellRun(const std::array<CellStream, N> &loads,
@@ -372,6 +408,10 @@ class Pipeline
     /** Bursts the closed-form path handled (host-perf observability). */
     std::uint64_t burstFastPaths() const { return burstFastPaths_; }
 
+    /** Cell-run cells charged by fast-forward instead of one at a
+     *  time (host-perf observability). */
+    std::uint64_t cellRunFastCells() const { return cellRunFastCells_; }
+
     MemorySystem &mem() { return mem_; }
     const SystemParams &params() const { return params_; }
 
@@ -426,37 +466,50 @@ class Pipeline
         return dep;
     }
 
-    /** memOpImpl for cell @p cell of a cell-run stream. */
+    /**
+     * Memory latencies of cell @p cell of streams [First, First + K)
+     * into @p lat, in program order. MemorySystem never reads time,
+     * so a cell's accesses may run ahead of its scoreboard work.
+     */
+    template <std::size_t First, std::size_t K, std::size_t R,
+              std::size_t... I>
+    QZ_SIM_ALWAYS_INLINE void
+    streamLatencies(std::array<MemorySystem::StreamMemo, R> &memo,
+                    const std::array<CellStream, K> &streams,
+                    [[maybe_unused]] std::uint64_t cell,
+                    [[maybe_unused]] unsigned *lat,
+                    std::index_sequence<I...>)
+    {
+        ((lat[First + I] = mem_.accessStream(
+              memo[First + I], streams[I].pc,
+              streams[I].base + static_cast<Addr>(streams[I].stride) *
+                                    cell,
+              streams[I].bytes)),
+         ...);
+    }
+
+    /** memOpImpl's scoreboard half for a cell-run access of known
+     *  @p latency. */
     template <bool Write>
     QZ_SIM_ALWAYS_INLINE Tag
-    streamOpImpl(MemorySystem::StreamMemo &memo, const CellStream &s,
-                 std::uint64_t cell, Tag dep)
+    cellOpImpl(unsigned latency, Tag dep)
     {
         const Cycle issue = resolveIssue(dep, aguPipes_, 1, 1);
-        const Addr addr = s.base + static_cast<Addr>(s.stride) * cell;
-        const unsigned latency =
-            mem_.accessStream(memo, s.pc, addr, s.bytes);
         const Cycle completion = Write ? issue + 1 : issue + latency;
         finishOp(Write ? OpClass::ScalarStore : OpClass::ScalarLoad,
                  completion, 1, true, Write ? issue + latency : 0);
         return Tag{completion, true};
     }
 
-    /** Streams [First, First + K) of a run for one cell, in order;
-     *  returns their joined tags (the executeMemRun fold). */
-    template <bool Write, std::size_t First, std::size_t K,
-              std::size_t R, std::size_t... I>
+    /** One cell's loads or stores, in order; returns their joined
+     *  tags (the executeMemRun fold). */
+    template <bool Write, std::size_t... I>
     QZ_SIM_ALWAYS_INLINE Tag
-    streamOps(std::array<MemorySystem::StreamMemo, R> &memo,
-              const std::array<CellStream, K> &streams,
-              [[maybe_unused]] std::uint64_t cell,
-              [[maybe_unused]] Tag dep, std::index_sequence<I...>)
+    cellOps([[maybe_unused]] const unsigned *lat,
+            [[maybe_unused]] Tag dep, std::index_sequence<I...>)
     {
         Tag out{};
-        ((out = Tag::join(out, streamOpImpl<Write>(memo[First + I],
-                                                   streams[I], cell,
-                                                   dep))),
-         ...);
+        ((out = Tag::join(out, cellOpImpl<Write>(lat[I], dep))), ...);
         return out;
     }
 
@@ -466,6 +519,99 @@ class Pipeline
         Cycle done;
         bool mem;
     };
+
+    static constexpr std::size_t kStallKinds =
+        static_cast<std::size_t>(StallKind::NumKinds);
+
+    /**
+     * Scoreboard state at a cell-run period boundary, kept to compare
+     * the state one period later against. The frontend slot phase
+     * needs no entry: a period's ops fill whole issue cycles.
+     */
+    struct CellMark
+    {
+        Cycle cycle = 0;
+        Cycle maxCompletion = 0;
+        Cycle chain = 0;
+        std::size_t rob = 0;
+        std::size_t lsq = 0;
+        std::array<Cycle, kStallKinds> stalls{};
+        std::vector<Cycle> pools; //!< AGUs, then scalar pipes
+    };
+
+    /**
+     * A recorded stretch of cell-run cells that leaves the scoreboard
+     * in the state it started from, shifted in time: from a state
+     * that normalises to the one below, cells of this shape with
+     * these latencies advance the issue pointer by `advance` and the
+     * stall counters by `stalls`. In a steady run these are the
+     * transients around a cache miss.
+     */
+    struct CellLoop
+    {
+        std::array<std::size_t, 3> shape{}; //!< loads, ALU ops, stores
+        std::uint64_t cells = 0;
+        Cycle advance = 0;
+        std::array<Cycle, kStallKinds> stalls{};
+        std::vector<unsigned> latencies; //!< cells x streams
+
+        /** Normalised start state (normaliseCycle). */
+        unsigned slot = 0;
+        Cycle chain = 0; //!< exact offset from the issue pointer
+        Cycle maxCompletion = 0;
+        std::vector<Cycle> pools;
+        std::vector<RobEntry> rob;
+        std::vector<Cycle> lsq;
+
+        /** Raw issue pointer and stalls at the start (recording). */
+        Cycle startCycle = 0;
+        std::array<Cycle, kStallKinds> startStalls{};
+    };
+
+    /** Cell-run period (see executeCellRun), or 0 when the run cannot
+     *  fast-forward; sizes the reference rows and the ring history. */
+    std::uint64_t openCellPeriod(std::size_t streams, unsigned aluCount,
+                                 std::uint64_t cells);
+
+    /** Mark the current state, whose chain tag is @p chain. */
+    void markCell(Cycle chain);
+
+    /**
+     * True when the current state equals the marked one a period
+     * earlier, shifted in time: the same queue sizes and chain offset,
+     * and every other cycle value at the same distance ahead of the
+     * issue pointer, with values at or below it collapsed into one
+     * stale class.
+     */
+    bool cellStateRepeats(std::uint64_t period, std::size_t streams,
+                          unsigned aluCount, Cycle chain);
+
+    /** A cycle value as its distance ahead of the issue pointer; 0
+     *  when it can no longer delay any op. */
+    Cycle
+    normaliseCycle(Cycle value) const
+    {
+        return value > cycle_ ? value - cycle_ : 0;
+    }
+
+    /** Store the current normalised state as @p loop's start. */
+    void snapshotCells(CellLoop &loop, Cycle chain);
+
+    /** True when the current state normalises to @p loop's start. */
+    bool cellStateIs(const CellLoop &loop, Cycle chain);
+
+    /**
+     * Skip @p cells cells in closed form: @p times repeats of a stretch
+     * that advances the issue pointer by @p advance and the stall
+     * counters by @p stalls. Shifts every cycle value (issue pointer,
+     * pools, ROB/LSQ, max completion, @p chain) and adds the op counts
+     * of @p loads / @p aluCount / @p stores per cell.
+     */
+    void fastForwardCells(Cycle advance,
+                          const std::array<Cycle, kStallKinds> &stalls,
+                          std::uint64_t times, std::uint64_t cells,
+                          std::size_t loads, unsigned aluCount,
+                          std::size_t stores, Tag &chain);
 
     /** Record an issue-pointer advance from @p from to @p to. */
     QZ_SIM_ALWAYS_INLINE void
@@ -573,10 +719,8 @@ class Pipeline
             lsqCompletion ? lsqCompletion : completion;
         for (std::size_t i = 0; i < lsqNeed; ++i)
             lsq_.push(lsqDone);
-        if (completion > maxCompletion_) {
+        if (completion > maxCompletion_)
             maxCompletion_ = completion;
-            maxCompletionFromMem_ = isMem;
-        }
         ++opCounts_[static_cast<std::size_t>(cls)];
         ++instructions_;
     }
@@ -603,7 +747,6 @@ class Pipeline
     std::vector<unsigned> laneLatencies_;
 
     Cycle maxCompletion_ = 0;
-    bool maxCompletionFromMem_ = false;
 
     std::array<Cycle, static_cast<std::size_t>(StallKind::NumKinds)>
         stalls_{};
@@ -612,6 +755,19 @@ class Pipeline
         opCounts_{};
     std::uint64_t instructions_ = 0;
     std::uint64_t burstFastPaths_ = 0;
+
+    /** The current run's latencies, cells x streams, fetched ahead of
+     *  the scoreboard while a fast-forward looks for repeats. */
+    std::vector<unsigned> cellLatencies_;
+    CellMark cellMark_;
+    /** Latencies of the reference period, one row per cell. */
+    std::vector<unsigned> cellPeriodLatencies_;
+    /** Recorded loops, replaced round-robin, and the one a run is
+     *  recording. */
+    std::array<CellLoop, 4> cellLoops_;
+    std::size_t cellLoopNext_ = 0;
+    CellLoop cellLoopDraft_;
+    std::uint64_t cellRunFastCells_ = 0;
 };
 
 template <std::size_t N, std::size_t M>
@@ -621,28 +777,151 @@ Pipeline::executeCellRun(const std::array<CellStream, N> &loads,
                          const std::array<CellStream, M> &stores,
                          std::uint64_t cells, Tag &chain, Tag &pending)
 {
-    std::array<std::uint64_t, N + M> pcs{};
+    constexpr std::size_t S = N + M;
+    std::array<std::uint64_t, S> pcs{};
     for (std::size_t i = 0; i < N; ++i)
         pcs[i] = loads[i].pc;
     for (std::size_t i = 0; i < M; ++i)
         pcs[N + i] = stores[i].pc;
-    std::array<MemorySystem::StreamMemo, N + M> memo{};
+    std::array<MemorySystem::StreamMemo, S> memo{};
     mem_.openStreams(pcs, memo);
 
+    // Every cell's latencies land in cellLatencies_ before its
+    // scoreboard work; a fast-forward fetches cells ahead.
+    if (cellLatencies_.size() < cells * S)
+        cellLatencies_.resize(cells * S);
+    unsigned *const lats = cellLatencies_.data();
+    std::uint64_t fetched = 0;
+    const auto fetchTo = [&](std::uint64_t end) QZ_SIM_ALWAYS_INLINE_LAMBDA {
+        for (; fetched < end; ++fetched) {
+            streamLatencies<0>(memo, loads, fetched, lats + fetched * S,
+                               std::make_index_sequence<N>{});
+            streamLatencies<N>(memo, stores, fetched, lats + fetched * S,
+                               std::make_index_sequence<M>{});
+        }
+    };
+    const auto sameLatencies = [](const unsigned *a, const unsigned *b) {
+        return std::equal(a, a + S, b);
+    };
+
     const OpSpec alu = opSpec(OpClass::ScalarAlu);
+    const std::array<std::size_t, 3> shape{N, aluCount, M};
+    const std::uint64_t period = openCellPeriod(S, aluCount, cells);
     Tag ch = chain;
     Tag pend = pending;
+    // Period boundaries: cells since the last one, its issue pointer
+    // and the advance over the period before it, and whether the
+    // state at it was marked. `recordFrom` is where the loop draft
+    // started, or `cells` when none is being recorded.
+    std::uint64_t phase = 0;
+    Cycle lastCycle = cycle_;
+    Cycle lastAdvance = 0;
+    bool marked = false;
+    std::uint64_t recordFrom = cells;
     for (std::uint64_t cell = 0; cell < cells; ++cell) {
-        pend = Tag::join(pend,
-                         streamOps<false, 0>(memo, loads, cell, ch,
-                                             std::make_index_sequence<N>{}));
+        fetchTo(cell + 1);
+        const unsigned *lat = lats + cell * S;
+        pend = Tag::join(pend, cellOps<false>(lat, ch,
+                                              std::make_index_sequence<N>{}));
         if (aluCount > 0) {
             ch = opChainImpl(OpClass::ScalarAlu, alu, aluCount,
                              Tag::join(ch, pend));
             pend = Tag{};
         }
-        streamOps<true, N>(memo, stores, cell, ch,
-                           std::make_index_sequence<M>{});
+        cellOps<true>(lat + N, ch, std::make_index_sequence<M>{});
+        if (period == 0 || ++phase < period)
+            continue;
+
+        // Fast-forward. At a period boundary, when the issue pointer
+        // advanced as much over the last period as over the one
+        // before, mark the state. When the state a period later
+        // equals the mark shifted in time, the schedule repeats for
+        // as long as the cells' latencies repeat the last period's:
+        // fetch ahead while they do and jump over the whole periods.
+        phase = 0;
+        const Cycle advance = cycle_ - lastCycle;
+        const bool steady = advance == lastAdvance;
+        lastCycle = cycle_;
+        lastAdvance = advance;
+        const std::uint64_t b = cell + 1;
+        if (b == cells)
+            break;
+        if (!marked || !cellStateRepeats(period, S, aluCount, ch.ready)) {
+            marked = steady;
+            if (marked)
+                markCell(ch.ready);
+            continue;
+        }
+        marked = false;
+        // A loop being recorded ends at the first repeating state.
+        if (recordFrom < b && cellStateIs(cellLoopDraft_, ch.ready)) {
+            CellLoop &draft = cellLoopDraft_;
+            draft.cells = b - recordFrom;
+            draft.advance = cycle_ - draft.startCycle;
+            for (std::size_t k = 0; k < kStallKinds; ++k)
+                draft.stalls[k] = stalls_[k] - draft.startStalls[k];
+            draft.latencies.assign(lats + recordFrom * S, lats + b * S);
+            std::swap(cellLoops_[cellLoopNext_], draft);
+            cellLoopNext_ = (cellLoopNext_ + 1) % cellLoops_.size();
+        }
+        recordFrom = cells;
+
+        const Cycle periodAdvance = cycle_ - cellMark_.cycle;
+        std::array<Cycle, kStallKinds> periodStalls{};
+        for (std::size_t k = 0; k < kStallKinds; ++k)
+            periodStalls[k] = stalls_[k] - cellMark_.stalls[k];
+        std::copy_n(lats + (b - period) * S, period * S,
+                    cellPeriodLatencies_.data());
+        std::uint64_t at = b;
+        for (;;) {
+            std::uint64_t next = at;
+            for (std::uint64_t p = 0; next < cells; ++next) {
+                fetchTo(next + 1);
+                if (!sameLatencies(lats + next * S,
+                                   cellPeriodLatencies_.data() + p * S))
+                    break;
+                if (++p == period)
+                    p = 0;
+            }
+            const std::uint64_t periods = (next - at) / period;
+            if (periods > 0) {
+                fastForwardCells(periodAdvance, periodStalls, periods,
+                                 periods * period, N, aluCount, M, ch);
+                at += periods * period;
+            }
+            if (next == cells)
+                break;
+            // The latencies broke the period: skip a recorded loop
+            // whose latencies and start state match, and resume the
+            // period after it; else record one from here.
+            CellLoop *match = nullptr;
+            for (CellLoop &loop : cellLoops_) {
+                if (loop.cells == 0 || loop.shape != shape ||
+                    loop.cells > cells - at)
+                    continue;
+                bool same = true;
+                for (std::uint64_t j = 0; same && j < loop.cells; ++j) {
+                    fetchTo(at + j + 1);
+                    same = sameLatencies(lats + (at + j) * S,
+                                         loop.latencies.data() + j * S);
+                }
+                if (same && cellStateIs(loop, ch.ready)) {
+                    match = &loop;
+                    break;
+                }
+            }
+            if (match == nullptr) {
+                cellLoopDraft_.shape = shape;
+                snapshotCells(cellLoopDraft_, ch.ready);
+                recordFrom = at;
+                break;
+            }
+            fastForwardCells(match->advance, match->stalls, 1,
+                             match->cells, N, aluCount, M, ch);
+            at += match->cells;
+        }
+        cell = at - 1;
+        lastCycle = cycle_;
     }
     chain = ch;
     pending = pend;

@@ -6,11 +6,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <optional>
 
 #include "algos/nw.hpp"
 #include "algos/swg.hpp"
 #include "common/rng.hpp"
+#include "genomics/datasets.hpp"
 #include "genomics/readsim.hpp"
 #include "quetzal/qzunit.hpp"
 #include "sim/context.hpp"
@@ -291,6 +293,38 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, SwgVariants,
                                      c = 'C';
                              return name;
                          });
+
+/**
+ * The cell-run fast-forward (Pipeline::executeCellRun) must carry at
+ * least half of BASE NW's cells on the first Table II 250 bp pair.
+ * The banded SWG fill settles far less often; its share is printed,
+ * not bounded. Both fills store only through cell runs (NW one store
+ * per cell, SWG three), so the store count gives the cell count.
+ */
+TEST(CellRunFastForward, CarriesMostOfBaseNw250bp)
+{
+    const genomics::PairDataset data = genomics::makeDataset("250bp_1", 0.001);
+    const genomics::SequencePair &pair = data.pairs.front();
+    const auto fastShare = [&pair](bool nw) {
+        sim::SimContext ctx;
+        isa::VectorUnit vpu(ctx.pipeline());
+        if (nw)
+            nwAlign(Variant::Base, pair.pattern, pair.text, &vpu);
+        else
+            swgAlign(Variant::Base, pair.pattern, pair.text, SwgParams{},
+                     &vpu);
+        const sim::Pipeline &pipe = ctx.pipeline();
+        const double cells =
+            static_cast<double>(pipe.opCount(sim::OpClass::ScalarStore)) /
+            (nw ? 1 : 3);
+        return static_cast<double>(pipe.cellRunFastCells()) / cells;
+    };
+    const double nw = fastShare(true);
+    const double swg = fastShare(false);
+    std::printf("fast-forwarded cells: NW %.1f%%, SWG %.1f%%\n",
+                100 * nw, 100 * swg);
+    EXPECT_GE(nw, 0.5);
+}
 
 } // namespace
 } // namespace quetzal::algos

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <deque>
 #include <random>
 
@@ -1114,27 +1115,17 @@ struct ChainState
 };
 
 /**
- * Charge a random cell run on @p run through executeCellRun and on
- * @p twin as the per-cell executeMemRun / executeOpChain /
- * executeMemRun sequence the DP fills issued before cell runs.
+ * Charge one cell run on @p run through executeCellRun and on @p twin
+ * as the per-cell executeMemRun / executeOpChain / executeMemRun
+ * sequence the DP fills issued before cell runs.
  */
 template <std::size_t N, std::size_t M>
 void
-chargeCellShape(std::mt19937 &rng, Pipeline &run, ChainState &runState,
-                Pipeline &twin, ChainState &twinState, unsigned lineBytes,
-                unsigned tableEntries)
+chargeCellRun(const std::array<CellStream, N> &loads, unsigned aluCount,
+              const std::array<CellStream, M> &stores, std::uint64_t cells,
+              Pipeline &run, ChainState &runState, Pipeline &twin,
+              ChainState &twinState)
 {
-    std::array<CellStream, N> loads{};
-    std::array<CellStream, M> stores{};
-    for (CellStream &s : loads)
-        s = randomStream(rng, lineBytes, tableEntries);
-    for (CellStream &s : stores)
-        s = randomStream(rng, lineBytes, tableEntries);
-    const unsigned aluCount = std::uniform_int_distribution<unsigned>(
-        0, 9)(rng);
-    const std::uint64_t cells =
-        std::uniform_int_distribution<std::uint64_t>(0, 40)(rng);
-
     run.executeCellRun(loads, aluCount, stores, cells, runState.chain,
                        runState.pending);
 
@@ -1160,6 +1151,44 @@ chargeCellShape(std::mt19937 &rng, Pipeline &run, ChainState &runState,
                                 at(stores[i], cell), stores[i].bytes};
         twin.executeMemRun(storeOps, chain);
     }
+}
+
+/** chargeCellRun on random streams, ALU count and length. */
+template <std::size_t N, std::size_t M>
+void
+chargeCellShape(std::mt19937 &rng, Pipeline &run, ChainState &runState,
+                Pipeline &twin, ChainState &twinState, unsigned lineBytes,
+                unsigned tableEntries)
+{
+    std::array<CellStream, N> loads{};
+    std::array<CellStream, M> stores{};
+    for (CellStream &s : loads)
+        s = randomStream(rng, lineBytes, tableEntries);
+    for (CellStream &s : stores)
+        s = randomStream(rng, lineBytes, tableEntries);
+    const unsigned aluCount = std::uniform_int_distribution<unsigned>(
+        0, 9)(rng);
+    const std::uint64_t cells =
+        std::uniform_int_distribution<std::uint64_t>(0, 40)(rng);
+    chargeCellRun(loads, aluCount, stores, cells, run, runState, twin,
+                  twinState);
+}
+
+/** Every memory-side observable a cell run can move. */
+void
+expectSameMemory(MemorySystem &a, MemorySystem &b, unsigned config)
+{
+    EXPECT_EQ(a.totalRequests(), b.totalRequests()) << "config " << config;
+    EXPECT_EQ(a.dramBytes(), b.dramBytes()) << "config " << config;
+    EXPECT_EQ(a.l1d().hits(), b.l1d().hits()) << "config " << config;
+    EXPECT_EQ(a.l1d().misses(), b.l1d().misses()) << "config " << config;
+    EXPECT_EQ(a.l2().hits(), b.l2().hits()) << "config " << config;
+    EXPECT_EQ(a.l2().misses(), b.l2().misses()) << "config " << config;
+    EXPECT_EQ(a.stats().get("translate_fast").value(),
+              b.stats().get("translate_fast").value())
+        << "config " << config;
+    EXPECT_EQ(a.l1Prefetcher().issued(), b.l1Prefetcher().issued())
+        << "config " << config;
 }
 
 /**
@@ -1261,19 +1290,156 @@ TEST(Pipeline, CellRunMatchesPerCellCharges)
             EXPECT_EQ(run.opCount(static_cast<OpClass>(c)),
                       twin.opCount(static_cast<OpClass>(c)))
                 << "config " << configIdx << " class " << c;
-        EXPECT_EQ(memRun.totalRequests(), memTwin.totalRequests());
-        EXPECT_EQ(memRun.dramBytes(), memTwin.dramBytes());
-        EXPECT_EQ(memRun.l1d().hits(), memTwin.l1d().hits());
-        EXPECT_EQ(memRun.l1d().misses(), memTwin.l1d().misses());
-        EXPECT_EQ(memRun.l2().hits(), memTwin.l2().hits());
-        EXPECT_EQ(memRun.l2().misses(), memTwin.l2().misses());
-        EXPECT_EQ(memRun.stats().get("translate_fast").value(),
-                  memTwin.stats().get("translate_fast").value());
-        EXPECT_EQ(memRun.l1Prefetcher().issued(),
-                  memTwin.l1Prefetcher().issued());
+        expectSameMemory(memRun, memTwin, configIdx);
         EXPECT_GT(memRun.streamLineHits(), 0u) << "config " << configIdx;
         EXPECT_EQ(memTwin.streamLineHits(), 0u);
         ++configIdx;
+    }
+}
+
+/**
+ * Proof-by-test for the cell-run fast-forward: long runs (200-1200
+ * cells) in the NW (<5,1>, 4 ALU ops) and SWG (<7,3>, 8 ALU ops)
+ * shapes, laid out like the DP fills — loads from the two previous
+ * runs' rows (+4 strides), the sequences at +1/-1, stores that
+ * first-touch fresh lines so misses land mid-run — plus runs with a
+ * random ALU count and a -4 load stride, with slow ops, missing loads
+ * and odd slot phases left between runs, must leave a core and a twin
+ * charged per cell with identical cycles, stall kinds, per-class op
+ * counts, cache/DRAM/translate_fast/prefetch stats and chain/pending
+ * tags, at issue widths 2, 4 and 8 and ROB/LSQ sizes {128, 40},
+ * {16, 8}, {1, 1} and {512, 40}. The fast path must engage on the
+ * default shape.
+ */
+TEST(Pipeline, CellRunFastForwardMatchesPerCellCharges)
+{
+    struct Config
+    {
+        unsigned robEntries, lsqEntries;
+    };
+    // {512, 40}: a ROB long enough to hold a slow op through the
+    // run's steady state.
+    const Config queues[] = {{128, 40}, {16, 8}, {1, 1}, {512, 40}};
+    unsigned configIdx = 0;
+    for (const unsigned issueWidth : {2u, 4u, 8u}) {
+        for (const Config &queue : queues) {
+            SystemParams params;
+            params.core.issueWidth = issueWidth;
+            params.core.robEntries = queue.robEntries;
+            params.core.lsqEntries = queue.lsqEntries;
+            MemorySystem memRun(params);
+            MemorySystem memTwin(params);
+            Pipeline run(params, memRun);
+            Pipeline twin(params, memTwin);
+
+            std::mt19937 rng(0xFA57 + configIdx);
+            std::uniform_int_distribution<std::uint64_t> pickCells(200,
+                                                                   1200);
+            std::uniform_int_distribution<unsigned> pickAlu(1, 9);
+            std::uniform_int_distribution<int> pickGap(0, 3);
+            std::uniform_int_distribution<unsigned> pickSlow(50, 600);
+            Addr nextMiss = Addr{1} << 26;
+            // Rows bump-allocated from a fresh region: each run stores
+            // a new row and reads the two before it.
+            Addr nextRow = Addr{1} << 24;
+            Addr rows[3] = {nextRow, nextRow, nextRow};
+            const Addr pattern = Addr{1} << 22;
+            const Addr text = (Addr{1} << 22) + (1 << 16);
+            ChainState runState, twinState;
+            std::uint64_t totalCells = 0;
+            for (int step = 0; step < 32; ++step) {
+                // Work between runs: moves the slot phase, leaves a
+                // slow op live in the ROB, or a missing load live in
+                // the LSQ and pending into the run.
+                switch (pickGap(rng)) {
+                  case 1: {
+                    const unsigned ops = 1 + step % 3;
+                    run.executeOpBurst(OpClass::ScalarAlu, ops);
+                    twin.executeOpBurst(OpClass::ScalarAlu, ops);
+                    break;
+                  }
+                  case 2: {
+                    const unsigned latency = pickSlow(rng);
+                    run.executeQz(OpClass::QzMhm, latency, {});
+                    twin.executeQz(OpClass::QzMhm, latency, {});
+                    break;
+                  }
+                  case 3:
+                    runState.pending = run.executeMem(
+                        OpClass::ScalarLoad, 0x420, nextMiss, 4, {});
+                    twinState.pending = twin.executeMem(
+                        OpClass::ScalarLoad, 0x420, nextMiss, 4, {});
+                    nextMiss += 4096;
+                    break;
+                  default:
+                    break;
+                }
+                const std::uint64_t cells = pickCells(rng);
+                totalCells += cells;
+                const bool randomAlu = step % 3 == 2;
+                const std::int64_t loadStride = step % 4 == 3 ? -4 : 4;
+                const Addr loadOffset = loadStride < 0 ? 4 * cells : 0;
+                rows[2] = rows[1];
+                rows[1] = rows[0];
+                rows[0] = nextRow;
+                nextRow += 4 * cells + 64;
+                const auto row = [&](std::uint64_t pc, Addr base) {
+                    return CellStream{pc, base + loadOffset, loadStride,
+                                      4};
+                };
+                const CellStream p{0x410, pattern + 3 * step, 1, 1};
+                const CellStream t{0x411, text + cells + 5 * step, -1, 1};
+                if (step % 2 == 0) {
+                    const std::array<CellStream, 5> loads{
+                        {row(0x400, rows[1] + 4), row(0x401, rows[1]),
+                         row(0x402, rows[2]), p, t}};
+                    const std::array<CellStream, 1> stores{
+                        {{0x403, rows[0], 4, 4}}};
+                    chargeCellRun(loads, randomAlu ? pickAlu(rng) : 4,
+                                  stores, cells, run, runState, twin,
+                                  twinState);
+                } else {
+                    const std::array<CellStream, 7> loads{
+                        {row(0x400, rows[1] + 4), row(0x401, rows[1]),
+                         row(0x404, rows[1] + 8), row(0x405, rows[2] + 4),
+                         row(0x402, rows[2]), p, t}};
+                    const std::array<CellStream, 3> stores{
+                        {{0x403, rows[0], 4, 4},
+                         {0x403, rows[0] + (1 << 20), 4, 4},
+                         {0x403, rows[0] + (2 << 20), 4, 4}}};
+                    chargeCellRun(loads, randomAlu ? pickAlu(rng) : 8,
+                                  stores, cells, run, runState, twin,
+                                  twinState);
+                }
+                for (const auto &[a, b] :
+                     {std::pair{runState.chain, twinState.chain},
+                      std::pair{runState.pending, twinState.pending}}) {
+                    ASSERT_EQ(a.ready, b.ready)
+                        << "config " << configIdx << " step " << step;
+                    ASSERT_EQ(a.mem, b.mem)
+                        << "config " << configIdx << " step " << step;
+                }
+                expectSameObservables(run, twin, configIdx, step);
+            }
+            for (unsigned c = 0;
+                 c < static_cast<unsigned>(OpClass::NumClasses); ++c)
+                EXPECT_EQ(run.opCount(static_cast<OpClass>(c)),
+                          twin.opCount(static_cast<OpClass>(c)))
+                    << "config " << configIdx << " class " << c;
+            expectSameMemory(memRun, memTwin, configIdx);
+            EXPECT_EQ(twin.cellRunFastCells(), 0u);
+            if (issueWidth == 4 && queue.robEntries == 128) {
+                EXPECT_GT(run.cellRunFastCells(), 0u)
+                    << "config " << configIdx;
+            }
+            std::printf("width %u rob/lsq %u/%u: %llu of %llu cells "
+                        "fast-forwarded\n",
+                        issueWidth, queue.robEntries, queue.lsqEntries,
+                        static_cast<unsigned long long>(
+                            run.cellRunFastCells()),
+                        static_cast<unsigned long long>(totalCells));
+            ++configIdx;
+        }
     }
 }
 
