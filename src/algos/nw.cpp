@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <vector>
 
+#include "algos/vector_blocks.hpp"
 #include "common/logging.hpp"
 
 namespace quetzal::algos {
 
 using isa::addrOf;
-using isa::Pred;
 using isa::VReg;
 
 namespace {
@@ -153,6 +152,33 @@ nwTraceback(const DiagTable &tab, std::string_view p, std::string_view t,
     return rev;
 }
 
+/**
+ * Interior cells lo..hi of diagonal @p d: the recurrence every variant
+ * computes. Diagonal-major layout makes all three operand runs and the
+ * output run contiguous: r1[k] is (i-1, j), r1[k+1] is (i, j-1), r2[k]
+ * is (i-1, j-1), with k = i - lo.
+ */
+void
+fillDiagonal(DiagTable &tab, std::string_view p, std::string_view t,
+             std::int64_t d, std::int64_t lo, std::int64_t hi)
+{
+    const std::int32_t *r1 = tab.ptr(d - 1, lo - 1);
+    const std::int32_t *r2 = tab.ptr(d - 2, lo - 1);
+    std::int32_t *outRow = tab.ptr(d, lo);
+    for (std::int64_t i = lo; i <= hi; ++i) {
+        const std::int64_t j = d - i;
+        const std::int64_t k = i - lo;
+        const std::int32_t ins = r1[k + 1] + 1;
+        const std::int32_t del = r1[k] + 1;
+        const std::int32_t sub =
+            r2[k] + (p[static_cast<std::size_t>(i - 1)] ==
+                             t[static_cast<std::size_t>(j - 1)]
+                         ? 0
+                         : 1);
+        outRow[k] = std::min(ins, std::min(del, sub));
+    }
+}
+
 /** Reference / Base scalar fill. */
 void
 fillScalar(DiagTable &tab, std::string_view p, std::string_view t,
@@ -167,40 +193,22 @@ fillScalar(DiagTable &tab, std::string_view p, std::string_view t,
         const std::int64_t hi = std::min(m, d - 1);
         if (lo > hi)
             continue;
-        // Diagonal-major layout makes all three operand runs and the
-        // output run contiguous: hoist the row pointers and index with
-        // k = i - lo (same cells nwCell() reads, minus the per-cell
-        // offset recomputation). r1[k] is (i-1, j), r1[k+1] is
-        // (i, j-1), r2[k] is (i-1, j-1).
-        const std::int32_t *r1 = tab.ptr(d - 1, lo - 1);
-        const std::int32_t *r2 = tab.ptr(d - 2, lo - 1);
-        std::int32_t *outRow = tab.ptr(d, lo);
-        for (std::int64_t i = lo; i <= hi; ++i) {
-            const std::int64_t j = d - i;
-            const std::int64_t k = i - lo;
-            const std::int32_t ins = r1[k + 1] + 1;
-            const std::int32_t del = r1[k] + 1;
-            const std::int32_t sub =
-                r2[k] + (p[static_cast<std::size_t>(i - 1)] ==
-                                 t[static_cast<std::size_t>(j - 1)]
-                             ? 0
-                             : 1);
-            outRow[k] = std::min(ins, std::min(del, sub));
-        }
+        fillDiagonal(tab, p, t, d, lo, hi);
         // Charge the diagonal as one cell run: cell k loads (i, j-1),
         // (i-1, j), (i-1, j-1), p[i-1] and t[j-1] (the text walks
         // backwards along a diagonal), runs a 4-op ALU chain, and
         // stores (i, j).
         if (bu) {
+            const std::int32_t *r1 = tab.ptr(d - 1, lo - 1);
             const std::array<sim::CellStream, 5> loads{{
                 {kSiteA, addrOf(r1 + 1), 4, 4},
                 {kSiteB, addrOf(r1), 4, 4},
-                {kSiteC, addrOf(r2), 4, 4},
+                {kSiteC, addrOf(tab.ptr(d - 2, lo - 1)), 4, 4},
                 {kSiteP, addrOf(p.data() + (lo - 1)), 1, 1},
                 {kSiteT, addrOf(t.data() + (d - lo - 1)), -1, 1},
             }};
             const std::array<sim::CellStream, 1> stores{{
-                {kSiteV, addrOf(outRow), 4, 4},
+                {kSiteV, addrOf(tab.ptr(d, lo)), 4, 4},
             }};
             bu->cells(loads, 4, stores,
                       static_cast<std::uint64_t>(hi - lo + 1));
@@ -272,7 +280,7 @@ fillVector(DiagTable &tab, std::string_view p, std::string_view t,
         VReg row = qz->qzload(idx, sel, p, 8);
         if (slot & 1)
             row = vpu.shr64i(row, 32); // ext: realign odd offsets
-        return row;
+        return row.tag;
     };
     auto qzWriteRow = [&](std::int64_t d, std::int64_t slot,
                           const VReg &row, unsigned cnt) {
@@ -286,7 +294,12 @@ fillVector(DiagTable &tab, std::string_view p, std::string_view t,
         qzDep = row.tag;
     };
 
-    const VReg vone = vpu.dup32(1);
+    // Each diagonal's values come from the scalar recurrence; its
+    // 16-lane blocks are charged as one block run of the per-block
+    // program (algos/vector_blocks.hpp).
+    namespace nb = blocks::nw;
+    sim::Pipeline &pipe = vpu.pipeline();
+    const sim::Tag one = vpu.dup32(1).tag;
     tab.set(0, 0, 0);
     sim::Tag prevStore{};
     for (std::int64_t d = 1; d <= m + n; ++d) {
@@ -294,93 +307,62 @@ fillVector(DiagTable &tab, std::string_view p, std::string_view t,
         vpu.scalarOps(2);
         const std::int64_t lo = std::max<std::int64_t>(1, d - n);
         const std::int64_t hi = std::min(m, d - 1);
-        sim::Tag diagStore{};
+        if (lo > hi) {
+            prevStore = sim::Tag{};
+            continue;
+        }
+        fillDiagonal(tab, p, t, d, lo, hi);
         // Forwarding conflicts (and the QBUFFER remedy) only matter
         // on narrow diagonals, where the previous diagonal's store is
         // still in flight when this one loads it; wide diagonals are
         // throughput-bound streaming.
         const bool narrow = hi - lo + 1 <= 2 * static_cast<int>(L);
+        std::array<sim::Tag, nb::kSlots> slots{};
+        slots[nb::kOne] = one;
+        const auto streams = [&](std::int64_t i0) {
+            return std::array<sim::CellStream, nb::kStreams>{{
+                {kSiteA, addrOf(tab.ptr(d - 1, i0)), 4, 4},
+                {kSiteB, addrOf(tab.ptr(d - 1, i0 - 1)), 4, 4},
+                {kSiteC, addrOf(tab.ptr(d - 2, i0 - 1)), 4, 4},
+                {kSiteP, addrOf(p.data() + (i0 - 1)), 1, 1},
+                {kSiteT, addrOf(trev.data() + (n - d + i0)), 1, 1},
+                {kSiteV, addrOf(tab.ptr(d, i0)), 4, 4},
+            }};
+        };
+        if (!(useQz && narrow)) {
+            // On narrow diagonals the previous diagonal was stored
+            // moments ago at a one-element offset: forwarding
+            // conflict. Wide diagonals stream without conflicts.
+            slots[nb::kFwd] =
+                narrow ? sim::Tag{prevStore.ready + kForwardPenalty,
+                                  prevStore.mem}
+                       : sim::Tag{};
+            pipe.executeBlockRun<nb::kProgram>(
+                streams(lo), slots, static_cast<std::uint64_t>(hi - lo + 1),
+                L);
+            prevStore = slots[nb::kStored];
+            continue;
+        }
+        // Fig. 7: A, B and C come from the QBUFFERs, and each block's
+        // row goes back to them before its store.
         for (std::int64_t i0 = lo; i0 <= hi;
              i0 += static_cast<std::int64_t>(L)) {
             const unsigned cnt = static_cast<unsigned>(
                 std::min<std::int64_t>(L, hi - i0 + 1));
-            const unsigned bytes = cnt * 4;
-            using VU = isa::VectorUnit;
-            VReg a, b, c, pcv, tcv;
-            if (useQz && narrow) {
-                a = qzReadRow(d - 1, i0 - tab.iLo(d - 1), cnt);
-                b = qzReadRow(d - 1, i0 - 1 - tab.iLo(d - 1), cnt);
-                c = qzReadRow(d - 2, i0 - 1 - tab.iLo(d - 2), cnt);
-                // The operand cells are contiguous runs on the two
-                // previous diagonals; bulk-copy them into the low cnt
-                // elements (lanes >= cnt keep the qzload contents,
-                // exactly as the old per-lane overwrite left them).
-                std::memcpy(a.words.data(), tab.ptr(d - 1, i0), bytes);
-                std::memcpy(b.words.data(), tab.ptr(d - 1, i0 - 1),
-                            bytes);
-                std::memcpy(c.words.data(), tab.ptr(d - 2, i0 - 1),
-                            bytes);
-                pcv = vpu.load8to32(kSiteP, p.data() + (i0 - 1), cnt);
-                tcv = vpu.load8to32(kSiteT,
-                                    trev.data() + (n - d + i0), cnt);
-            } else {
-                // On narrow diagonals the previous diagonal was stored
-                // moments ago at a one-element offset: forwarding
-                // conflict. Wide diagonals stream without conflicts.
-                const sim::Tag fwd =
-                    narrow ? sim::Tag{prevStore.ready + kForwardPenalty,
-                                      prevStore.mem}
-                           : sim::Tag{};
-                // Two charge runs per slice, each register rebuilt
-                // from its own tag — byte-identical to the per-op
-                // load()/load8to32() sequence.
-                const sim::MemOp fwdLoads[] = {
-                    {sim::OpClass::VecLoad, kSiteA,
-                     addrOf(tab.ptr(d - 1, i0)), bytes},
-                    {sim::OpClass::VecLoad, kSiteB,
-                     addrOf(tab.ptr(d - 1, i0 - 1)), bytes},
-                };
-                sim::Tag ft[2];
-                vpu.chargeMemRun(fwdLoads, fwd, ft);
-                a = VU::lanes(tab.ptr(d - 1, i0), bytes, ft[0]);
-                b = VU::lanes(tab.ptr(d - 1, i0 - 1), bytes, ft[1]);
-
-                const sim::MemOp freeLoads[] = {
-                    {sim::OpClass::VecLoad, kSiteC,
-                     addrOf(tab.ptr(d - 2, i0 - 1)), bytes},
-                    {sim::OpClass::VecLoad, kSiteP,
-                     addrOf(p.data() + (i0 - 1)), cnt},
-                    {sim::OpClass::VecLoad, kSiteT,
-                     addrOf(trev.data() + (n - d + i0)), cnt},
-                };
-                sim::Tag rt[3];
-                vpu.chargeMemRun(freeLoads, sim::Tag{}, rt);
-                c = VU::lanes(tab.ptr(d - 2, i0 - 1), bytes, rt[0]);
-                pcv = vpu.widenLanes8to32(p.data() + (i0 - 1), cnt,
-                                          rt[1]);
-                tcv = vpu.widenLanes8to32(
-                    trev.data() + (n - d + i0), cnt, rt[2]);
-            }
-
-            // Substitution-cost vector from the contiguous residue
-            // loads.
-            const VReg &pc = pcv;
-            const VReg &tc = tcv;
-            const Pred lanes = vpu.whilelt(0, cnt, L);
-            const Pred eq = vpu.cmpeq32(pc, tc, lanes, L);
-            const VReg cost = vpu.sel32(eq, vpu.dup32(0), vone);
-
-            const VReg value = vpu.min32(
-                vpu.min32(vpu.add32i(a, 1), vpu.add32i(b, 1)),
-                vpu.add32(c, cost));
-            // The vector math equals the golden recurrence; the cnt
-            // result cells are one contiguous run on diagonal d.
-            std::memcpy(tab.ptr(d, i0), value.words.data(), bytes);
-            if (useQz && narrow)
-                qzWriteRow(d, i0 - tab.iLo(d), value, cnt);
-            diagStore = vpu.store(kSiteV, tab.ptr(d, i0), value, bytes);
+            slots[nb::kA] = qzReadRow(d - 1, i0 - tab.iLo(d - 1), cnt);
+            slots[nb::kB] = qzReadRow(d - 1, i0 - 1 - tab.iLo(d - 1), cnt);
+            slots[nb::kC] = qzReadRow(d - 2, i0 - 1 - tab.iLo(d - 2), cnt);
+            const auto blockStreams = streams(i0);
+            pipe.executeBlockRun<nb::kProgram, nb::kOpP, nb::kOpStore>(
+                blockStreams, slots, cnt, L);
+            qzWriteRow(d, i0 - tab.iLo(d),
+                       isa::VectorUnit::lanes(tab.ptr(d, i0), cnt * 4,
+                                              slots[nb::kValue]),
+                       cnt);
+            pipe.executeBlockRun<nb::kProgram, nb::kOpStore>(
+                blockStreams, slots, cnt, L);
         }
-        prevStore = diagStore;
+        prevStore = slots[nb::kStored];
     }
 }
 

@@ -158,9 +158,9 @@ class VecSsEngine final : public SsEngine
             const unsigned cnt =
                 std::min<long>(L, static_cast<long>(kHi) - k0 + 1);
             VReg pv = vpu_.dup32(static_cast<std::int32_t>(pi));
+            const VReg kv = vpu_.index32(k0, 1);
             VReg tv = vpu_.add32(
-                vpu_.dup32(static_cast<std::int32_t>(tiBase)),
-                vpu_.index32(k0, 1));
+                vpu_.dup32(static_cast<std::int32_t>(tiBase)), kv);
             VReg runs = vpu_.dup32(0);
             Pred act = vpu_.whilelt(0, cnt, L);
 
@@ -269,28 +269,26 @@ class QzSsKernel : public QzSsEngineBase
             const unsigned cnt =
                 std::min<long>(L, static_cast<long>(kHi) - k0 + 1);
             VReg pv = vpu_.dup32(static_cast<std::int32_t>(pi));
+            const VReg kv = vpu_.index32(k0, 1);
             VReg tv = vpu_.add32(
-                vpu_.dup32(static_cast<std::int32_t>(tiBase)),
-                vpu_.index32(k0, 1));
+                vpu_.dup32(static_cast<std::int32_t>(tiBase)), kv);
             VReg runs = vpu_.dup32(0);
             Pred act = vpu_.whilelt(0, cnt, L);
             const Pred bj0 = vpu_.cmpgt32(tv, vneg, act, L);
             act = vpu_.pAnd(act, bj0);
-            VReg rem = vpu_.min32(vpu_.sub32(vm, pv),
-                                  vpu_.sub32(vn, tv));
+            const VReg tRem = vpu_.sub32(vn, tv);
+            VReg rem = vpu_.min32(vpu_.sub32(vm, pv), tRem);
             act = vpu_.pAnd(act, vpu_.cmpgt32(rem, vzero, act, L));
 
             while (vpu_.anyActive(act)) {
                 const Pred pLo = vpu_.punpkLo(act);
                 const Pred pHi = vpu_.punpkHi(act);
-                const VReg rLo =
-                    qz_.qzmhm(opn, vpu_.widenLo32to64(pv),
-                              vpu_.widenLo32to64(tv), pLo,
-                              isa::kLanes64);
-                const VReg rHi =
-                    qz_.qzmhm(opn, vpu_.widenHi32to64(pv),
-                              vpu_.widenHi32to64(tv), pHi,
-                              isa::kLanes64);
+                const VReg tLo = vpu_.widenLo32to64(tv);
+                const VReg rLo = qz_.qzmhm(opn, vpu_.widenLo32to64(pv),
+                                           tLo, pLo, isa::kLanes64);
+                const VReg tHi = vpu_.widenHi32to64(tv);
+                const VReg rHi = qz_.qzmhm(opn, vpu_.widenHi32to64(pv),
+                                           tHi, pHi, isa::kLanes64);
                 VReg counts;
                 if constexpr (kUseCountAlu) {
                     counts = vpu_.pack64to32(rLo, rHi);
@@ -298,8 +296,8 @@ class QzSsKernel : public QzSsEngineBase
                     auto count64 = [&](const VReg &x) {
                         return vpu_.shr64i(vpu_.ctz64(x), shift);
                     };
-                    counts = vpu_.pack64to32(count64(rLo),
-                                             count64(rHi));
+                    const VReg cHi = count64(rHi);
+                    counts = vpu_.pack64to32(count64(rLo), cHi);
                 }
                 const VReg adv = vpu_.min32(counts, rem);
                 runs = vpu_.addvUnderPred32(runs, adv, act);

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <vector>
 
+#include "algos/vector_blocks.hpp"
 #include "common/logging.hpp"
 
 namespace quetzal::algos {
 
 using isa::addrOf;
-using isa::Pred;
 using isa::VReg;
 
 namespace {
@@ -246,6 +245,69 @@ swgCell(Tables &tab, const SwgParams &sp, std::string_view p,
     fOut = f;
 }
 
+/**
+ * Interior cells lo..hi of diagonal @p d: the recurrence every variant
+ * computes. Diagonal-major banding keeps each operand a contiguous run
+ * on a previous diagonal. When every run lies inside storage, index
+ * with k = i - lo instead of re-deriving band offsets per cell; any
+ * run that leaves storage (band edge) drops the whole slice back to
+ * the sentinel-checked at() recurrence.
+ */
+void
+fillDiagonal(Tables &tab, const SwgParams &sp, std::string_view p,
+             std::string_view t, std::int64_t d, std::int64_t lo,
+             std::int64_t hi)
+{
+    const std::int64_t w = hi - lo + 1;
+    if (w <= 0)
+        return;
+    const std::int32_t *h1 = tab.h.rowIfValid(d - 1, lo - 1, w + 1);
+    const std::int32_t *e1 = tab.e.rowIfValid(d - 1, lo, w);
+    const std::int32_t *f1 = tab.f.rowIfValid(d - 1, lo - 1, w);
+    const std::int32_t *h2 = tab.h.rowIfValid(d - 2, lo - 1, w);
+    std::int32_t *hRow = tab.h.row(d, lo, w);
+    std::int32_t *eRow = tab.e.row(d, lo, w);
+    std::int32_t *fRow = tab.f.row(d, lo, w);
+    const bool fast = h1 && e1 && f1 && h2;
+    const std::int32_t open = sp.gapOpen + sp.gapExtend;
+    for (std::int64_t i = lo; i <= hi; ++i) {
+        const std::int64_t j = d - i;
+        const std::int64_t k = i - lo;
+        std::int32_t hv, ev, fv;
+        if (fast) {
+            const std::int32_t e =
+                std::max(h1[k + 1] - open, e1[k] - sp.gapExtend);
+            const std::int32_t f =
+                std::max(h1[k] - open, f1[k] - sp.gapExtend);
+            const bool match = p[static_cast<std::size_t>(i - 1)] ==
+                               t[static_cast<std::size_t>(j - 1)];
+            const std::int32_t sub =
+                h2[k] + (match ? sp.match : sp.mismatch);
+            hv = std::max(sub, std::max(e, f));
+            ev = e;
+            fv = f;
+        } else {
+            swgCell(tab, sp, p, t, i, j, hv, ev, fv);
+        }
+        hRow[k] = hv;
+        eRow[k] = ev;
+        fRow[k] = fv;
+    }
+}
+
+/**
+ * The @p w -cell band run of diagonal @p diag starting at row @p i as
+ * a stream of 4-byte cells. A run's band slots are linear in i, so
+ * ptr()'s storage check at both ends covers every cell of the run.
+ */
+sim::CellStream
+bandStream(std::uint64_t site, BandTable &tb, std::int64_t diag,
+           std::int64_t i, std::int64_t w)
+{
+    (void)tb.ptr(diag, i + w - 1);
+    return sim::CellStream{site, addrOf(tb.ptr(diag, i)), 4, 4};
+}
+
 /** Scalar fill (Ref untimed / Base timed). */
 void
 fillScalar(Tables &tab, const SwgParams &sp, std::string_view p,
@@ -261,60 +323,15 @@ fillScalar(Tables &tab, const SwgParams &sp, std::string_view p,
         const std::int64_t hi =
             std::min<std::int64_t>(tab.h.bandHi(d), d - 1);
         const std::int64_t w = hi - lo + 1;
-        // Diagonal-major banding keeps each operand a contiguous run
-        // on a previous diagonal. When every run lies inside storage,
-        // index with k = i - lo instead of re-deriving band offsets
-        // per cell; any run that leaves storage (band edge) drops the
-        // whole slice back to the sentinel-checked at() recurrence.
-        const std::int32_t *h1 = nullptr, *e1 = nullptr, *f1 = nullptr,
-                           *h2 = nullptr;
-        std::int32_t *hRow = nullptr, *eRow = nullptr, *fRow = nullptr;
-        if (w > 0) {
-            h1 = tab.h.rowIfValid(d - 1, lo - 1, w + 1);
-            e1 = tab.e.rowIfValid(d - 1, lo, w);
-            f1 = tab.f.rowIfValid(d - 1, lo - 1, w);
-            h2 = tab.h.rowIfValid(d - 2, lo - 1, w);
-            hRow = tab.h.row(d, lo, w);
-            eRow = tab.e.row(d, lo, w);
-            fRow = tab.f.row(d, lo, w);
-        }
-        const bool fast = h1 && e1 && f1 && h2;
-        const std::int32_t open = sp.gapOpen + sp.gapExtend;
-        for (std::int64_t i = lo; i <= hi; ++i) {
-            const std::int64_t j = d - i;
-            const std::int64_t k = i - lo;
-            std::int32_t hv, ev, fv;
-            if (fast) {
-                const std::int32_t e =
-                    std::max(h1[k + 1] - open, e1[k] - sp.gapExtend);
-                const std::int32_t f =
-                    std::max(h1[k] - open, f1[k] - sp.gapExtend);
-                const bool match = p[static_cast<std::size_t>(i - 1)] ==
-                                   t[static_cast<std::size_t>(j - 1)];
-                const std::int32_t sub =
-                    h2[k] + (match ? sp.match : sp.mismatch);
-                hv = std::max(sub, std::max(e, f));
-                ev = e;
-                fv = f;
-            } else {
-                swgCell(tab, sp, p, t, i, j, hv, ev, fv);
-            }
-            hRow[k] = hv;
-            eRow[k] = ev;
-            fRow[k] = fv;
-        }
+        fillDiagonal(tab, sp, p, t, d, lo, hi);
         // Charge the slice as one cell run: cell k = i - lo loads
         // H(i, j-1), H(i-1, j), E(i, j-1), F(i-1, j), H(i-1, j-1),
         // p[i-1] and t[j-1], runs an 8-op ALU chain, and stores its
         // H, E and F cells.
         if (bu && w > 0) {
-            // A run's band slots are linear in i, so ptr()'s storage
-            // check at both ends covers every cell of the run.
             const auto band = [w](std::uint64_t site, BandTable &tb,
                                   std::int64_t diag, std::int64_t i0) {
-                (void)tb.ptr(diag, i0 + w - 1);
-                return sim::CellStream{site, addrOf(tb.ptr(diag, i0)), 4,
-                                       4};
+                return bandStream(site, tb, diag, i0, w);
             };
             const std::array<sim::CellStream, 7> loads{{
                 band(kSiteH1, tab.h, d - 1, lo),
@@ -326,9 +343,9 @@ fillScalar(Tables &tab, const SwgParams &sp, std::string_view p,
                 {kSiteT, addrOf(t.data() + (d - lo - 1)), -1, 1},
             }};
             const std::array<sim::CellStream, 3> stores{{
-                {kSiteHS, addrOf(hRow), 4, 4},
-                {kSiteHS, addrOf(eRow), 4, 4},
-                {kSiteHS, addrOf(fRow), 4, 4},
+                {kSiteHS, addrOf(tab.h.ptr(d, lo)), 4, 4},
+                {kSiteHS, addrOf(tab.e.ptr(d, lo)), 4, 4},
+                {kSiteHS, addrOf(tab.f.ptr(d, lo)), 4, 4},
             }};
             bu->cells(loads, 8, stores, static_cast<std::uint64_t>(w));
         }
@@ -361,7 +378,6 @@ fillVector(Tables &tab, const SwgParams &sp, std::string_view p,
     constexpr unsigned L = isa::kLanes32;
     const auto m = static_cast<std::int64_t>(p.size());
     const auto n = static_cast<std::int64_t>(t.size());
-    const std::int32_t open = sp.gapOpen + sp.gapExtend;
 
     std::string trev(t.rbegin(), t.rend());
     for (std::size_t c = 0; c < trev.size(); c += 64) {
@@ -385,7 +401,6 @@ fillVector(Tables &tab, const SwgParams &sp, std::string_view p,
 
     // Band rows are addressed by slot = i - bandLo(d) + pad; slot 0
     // maps to QBUFFER element genBase(d) + 0.
-    sim::Tag qzRowDep{};
     // Packed rows: one 64-bit element holds two int32 band cells, so
     // a whole 16-cell slice moves in one qzload / qzstore.
     auto qzReadRow = [&](accel::QzSel sel, std::uint64_t base,
@@ -402,7 +417,7 @@ fillVector(Tables &tab, const SwgParams &sp, std::string_view p,
         VReg row = qz->qzload(idx, sel, p, 8);
         if (slot & 1)
             row = vpu.shr64i(row, 32); // ext: realign odd offsets
-        return row;
+        return row.tag;
     };
     auto qzWriteRow = [&](accel::QzSel sel, std::uint64_t base,
                           const VReg &row, unsigned cnt) {
@@ -412,12 +427,15 @@ fillVector(Tables &tab, const SwgParams &sp, std::string_view p,
             idx.words[l] = base / 2 + l;
         idx.tag = row.tag;
         qz->qzstore(row, idx, sel, vpu.whilelt(0, lanes, 8), 8);
-        qzRowDep = row.tag;
     };
-    (void)qzRowDep;
 
-    const VReg vmatch = vpu.dup32(sp.match);
-    const VReg vmis = vpu.dup32(sp.mismatch);
+    // Each diagonal's values come from the scalar recurrence; its
+    // 16-lane blocks are charged as one block run of the per-block
+    // program (algos/vector_blocks.hpp).
+    namespace sb = blocks::swg;
+    sim::Pipeline &pipe = vpu.pipeline();
+    const sim::Tag match = vpu.dup32(sp.match).tag;
+    const sim::Tag mismatch = vpu.dup32(sp.mismatch).tag;
     sim::Tag prevStore{};
     sim::Tag qzDep{};
     for (std::int64_t d = 0; d <= m + n; ++d) {
@@ -428,140 +446,82 @@ fillVector(Tables &tab, const SwgParams &sp, std::string_view p,
                                    std::max<std::int64_t>(1, d - n));
         const std::int64_t hi =
             std::min<std::int64_t>(tab.h.bandHi(d), d - 1);
-        sim::Tag diagStore{};
-        for (std::int64_t i0 = lo; i0 <= hi;
+        if (lo > hi) {
+            prevStore = sim::Tag{};
+            continue;
+        }
+        fillDiagonal(tab, sp, p, t, d, lo, hi);
+        std::array<sim::Tag, sb::kSlots> slots{};
+        slots[sb::kMatch] = match;
+        slots[sb::kMismatch] = mismatch;
+        const auto streams = [&](std::int64_t i0, std::int64_t w) {
+            return std::array<sim::CellStream, sb::kStreams>{{
+                bandStream(kSiteH1, tab.h, d - 1, i0, w),
+                bandStream(kSiteH1b, tab.h, d - 1, i0 - 1, w),
+                bandStream(kSiteE1, tab.e, d - 1, i0, w),
+                bandStream(kSiteF1, tab.f, d - 1, i0 - 1, w),
+                bandStream(kSiteH2, tab.h, d - 2, i0 - 1, w),
+                {kSiteP, addrOf(p.data() + (i0 - 1)), 1, 1},
+                {kSiteT, addrOf(trev.data() + (n - d + i0)), 1, 1},
+                bandStream(kSiteHS, tab.e, d, i0, w),
+                bandStream(kSiteHS, tab.f, d, i0, w),
+                bandStream(kSiteHS, tab.h, d, i0, w),
+            }};
+        };
+        if (!qz) {
+            slots[sb::kFwd] = sim::Tag{prevStore.ready + kForwardPenalty,
+                                       prevStore.mem};
+            pipe.executeBlockRun<sb::kProgram>(
+                streams(lo, hi - lo + 1), slots,
+                static_cast<std::uint64_t>(hi - lo + 1), L);
+        }
+        for (std::int64_t i0 = lo; qz != nullptr && i0 <= hi;
              i0 += static_cast<std::int64_t>(L)) {
             const unsigned cnt = static_cast<unsigned>(
                 std::min<std::int64_t>(L, hi - i0 + 1));
-            const unsigned bytes = cnt * 4;
-            using VU = isa::VectorUnit;
-            VReg h1a, h1b, e1, f1, h2, pcv, tcv;
-            if (qz) {
-                // Fig. 7: the previous two generations come from the
-                // QBUFFERs in 2-cycle reads. Functional values still
-                // come from the golden band tables below.
-                const std::int64_t s1 =
-                    i0 - tab.h.bandLo(d - 1) + BandTable::kPad;
-                const std::int64_t s2 =
-                    i0 - 1 - tab.h.bandLo(d - 2) + BandTable::kPad;
-                h1a = qzReadRow(accel::QzSel::Buf0, genBase(d - 1), s1,
-                                cnt, qzDep);
-                h1b = qzReadRow(accel::QzSel::Buf0, genBase(d - 1),
-                                s1 - 1, cnt, qzDep);
-                h2 = qzReadRow(accel::QzSel::Buf0, genBase(d - 2), s2,
-                               cnt, qzDep);
-                e1 = qzReadRow(accel::QzSel::Buf1, genBase(d - 1), s1,
-                               cnt, qzDep);
-                f1 = qzReadRow(accel::QzSel::Buf1,
-                               kFBase + genBase(d - 1), s1 - 1, cnt,
-                               qzDep);
-                // The model reads stale QBUFFER contents; substitute
-                // the functional values (identical once warm). Each
-                // operand is a contiguous band run — bulk-copy into
-                // the low cnt elements when the run lies in storage,
-                // fall back to the sentinel-checked at() otherwise.
-                auto fill = [cnt, bytes](VReg &dst, const BandTable &bt,
-                                         std::int64_t rd,
-                                         std::int64_t ri) {
-                    if (const std::int32_t *run =
-                            bt.rowIfValid(rd, ri, cnt)) {
-                        std::memcpy(dst.words.data(), run, bytes);
-                        return;
-                    }
-                    for (unsigned l = 0; l < cnt; ++l)
-                        dst.setI32(l, bt.at(ri + l, rd - (ri + l)));
-                };
-                fill(h1a, tab.h, d - 1, i0);
-                fill(h1b, tab.h, d - 1, i0 - 1);
-                fill(h2, tab.h, d - 2, i0 - 1);
-                fill(e1, tab.e, d - 1, i0);
-                fill(f1, tab.f, d - 1, i0 - 1);
-                pcv = vpu.load8to32(kSiteP, p.data() + (i0 - 1), cnt);
-                tcv = vpu.load8to32(kSiteT,
-                                    trev.data() + (n - d + i0), cnt);
-            } else {
-                const sim::Tag fwd{prevStore.ready + kForwardPenalty,
-                                   prevStore.mem};
-                // Two charge runs per slice (the forwarding-gated
-                // band loads, then the conflict-free ones), each
-                // register rebuilt from its own tag — byte-identical
-                // to the per-op load()/load8to32() sequence.
-                const sim::MemOp fwdLoads[] = {
-                    {sim::OpClass::VecLoad, kSiteH1,
-                     addrOf(tab.h.ptr(d - 1, i0)), bytes},
-                    {sim::OpClass::VecLoad, kSiteH1b,
-                     addrOf(tab.h.ptr(d - 1, i0 - 1)), bytes},
-                    {sim::OpClass::VecLoad, kSiteE1,
-                     addrOf(tab.e.ptr(d - 1, i0)), bytes},
-                    {sim::OpClass::VecLoad, kSiteF1,
-                     addrOf(tab.f.ptr(d - 1, i0 - 1)), bytes},
-                };
-                sim::Tag ft[4];
-                vpu.chargeMemRun(fwdLoads, fwd, ft);
-                h1a = VU::lanes(tab.h.ptr(d - 1, i0), bytes, ft[0]);
-                h1b = VU::lanes(tab.h.ptr(d - 1, i0 - 1), bytes,
-                                ft[1]);
-                e1 = VU::lanes(tab.e.ptr(d - 1, i0), bytes, ft[2]);
-                f1 = VU::lanes(tab.f.ptr(d - 1, i0 - 1), bytes, ft[3]);
-
-                const sim::MemOp freeLoads[] = {
-                    {sim::OpClass::VecLoad, kSiteH2,
-                     addrOf(tab.h.ptr(d - 2, i0 - 1)), bytes},
-                    {sim::OpClass::VecLoad, kSiteP,
-                     addrOf(p.data() + (i0 - 1)), cnt},
-                    {sim::OpClass::VecLoad, kSiteT,
-                     addrOf(trev.data() + (n - d + i0)), cnt},
-                };
-                sim::Tag rt[3];
-                vpu.chargeMemRun(freeLoads, sim::Tag{}, rt);
-                h2 = VU::lanes(tab.h.ptr(d - 2, i0 - 1), bytes, rt[0]);
-                pcv = vpu.widenLanes8to32(p.data() + (i0 - 1), cnt,
-                                          rt[1]);
-                tcv = vpu.widenLanes8to32(
-                    trev.data() + (n - d + i0), cnt, rt[2]);
-            }
-
-            // Substitution scores from the contiguous residue loads.
-            const VReg &pc = pcv;
-            const VReg &tc = tcv;
-            const Pred lanes = vpu.whilelt(0, cnt, L);
-            const Pred eqp = vpu.cmpeq32(pc, tc, lanes, L);
-            const VReg subst = vpu.sel32(eqp, vmatch, vmis);
-
-            const VReg ev = vpu.max32(vpu.add32i(h1a, -open),
-                                      vpu.add32i(e1, -sp.gapExtend));
-            const VReg fv = vpu.max32(vpu.add32i(h1b, -open),
-                                      vpu.add32i(f1, -sp.gapExtend));
-            const VReg hv =
-                vpu.max32(vpu.add32(h2, subst), vpu.max32(ev, fv));
-
-            // The cnt result cells are one contiguous in-band run on
-            // diagonal d (row() keeps set()'s out-of-storage panic).
-            std::memcpy(tab.h.row(d, i0, cnt), hv.words.data(), bytes);
-            std::memcpy(tab.e.row(d, i0, cnt), ev.words.data(), bytes);
-            std::memcpy(tab.f.row(d, i0, cnt), fv.words.data(), bytes);
-            if (qz) {
-                // Rolling band rows go back into the QBUFFERs; the
-                // full tables are written to memory for traceback
-                // (plain streaming stores, no reload).
-                qzWriteRow(accel::QzSel::Buf0, genBase(d), hv, cnt);
-                qzWriteRow(accel::QzSel::Buf1, genBase(d), ev, cnt);
-                qzWriteRow(accel::QzSel::Buf1, kFBase + genBase(d), fv,
-                           cnt);
-                qzDep = hv.tag;
-            }
-            vpu.store(kSiteHS, tab.e.ptr(d, i0), ev, bytes);
-            vpu.store(kSiteHS, tab.f.ptr(d, i0), fv, bytes);
-            diagStore = vpu.store(kSiteHS, tab.h.ptr(d, i0), hv, bytes);
+            // Fig. 7: the previous two generations come from the
+            // QBUFFERs in 2-cycle reads.
+            const std::int64_t s1 =
+                i0 - tab.h.bandLo(d - 1) + BandTable::kPad;
+            const std::int64_t s2 =
+                i0 - 1 - tab.h.bandLo(d - 2) + BandTable::kPad;
+            const std::uint64_t gen1 = genBase(d - 1);
+            slots[sb::kH1] = qzReadRow(accel::QzSel::Buf0, gen1, s1, cnt,
+                                       qzDep);
+            slots[sb::kH1b] = qzReadRow(accel::QzSel::Buf0, gen1, s1 - 1,
+                                        cnt, qzDep);
+            slots[sb::kH2] = qzReadRow(accel::QzSel::Buf0, genBase(d - 2),
+                                       s2, cnt, qzDep);
+            slots[sb::kE1] = qzReadRow(accel::QzSel::Buf1, gen1, s1, cnt,
+                                       qzDep);
+            slots[sb::kF1] = qzReadRow(accel::QzSel::Buf1, kFBase + gen1,
+                                       s1 - 1, cnt, qzDep);
+            const auto blockStreams = streams(i0, cnt);
+            pipe.executeBlockRun<sb::kProgram, sb::kOpP, sb::kOpStores>(
+                blockStreams, slots, cnt, L);
+            // Rolling band rows go back into the QBUFFERs; the full
+            // tables are written to memory for traceback (plain
+            // streaming stores, no reload).
+            const auto row = [&](BandTable &tb, sb::Slot slot) {
+                return isa::VectorUnit::lanes(tb.row(d, i0, cnt), cnt * 4,
+                                              slots[slot]);
+            };
+            qzWriteRow(accel::QzSel::Buf0, genBase(d), row(tab.h, sb::kH),
+                       cnt);
+            qzWriteRow(accel::QzSel::Buf1, genBase(d), row(tab.e, sb::kE),
+                       cnt);
+            qzWriteRow(accel::QzSel::Buf1, kFBase + genBase(d),
+                       row(tab.f, sb::kF), cnt);
+            qzDep = slots[sb::kH];
+            pipe.executeBlockRun<sb::kProgram, sb::kOpStores>(
+                blockStreams, slots, cnt, L);
         }
-        if (lo <= hi) {
-            tab.recenter(d + 1, tab.h.center(d) +
-                                    steerBand(tab.h, d, lo, hi));
-            vpu.scalarLoad(kSiteHS, tab.h.ptr(d, lo), 4);
-            vpu.scalarLoad(kSiteHS, tab.h.ptr(d, hi), 4);
-            vpu.scalarOps(2);
-        }
-        prevStore = diagStore;
+        tab.recenter(d + 1,
+                     tab.h.center(d) + steerBand(tab.h, d, lo, hi));
+        vpu.scalarLoad(kSiteHS, tab.h.ptr(d, lo), 4);
+        vpu.scalarLoad(kSiteHS, tab.h.ptr(d, hi), 4);
+        vpu.scalarOps(2);
+        prevStore = slots[sb::kStoredH];
     }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algos/vector_blocks.hpp"
 #include "common/logging.hpp"
 
 namespace quetzal::algos {
@@ -265,49 +266,38 @@ class VecKernels
   public:
     explicit VecKernels(isa::VectorUnit &vpu) : vpu_(vpu) {}
 
+    /**
+     * The wave values come from the scalar recurrence (nextValue);
+     * the wave's 16-lane blocks are charged as one block run of the
+     * per-block program (algos/vector_blocks.hpp).
+     */
     void
     nextWave(const WfaEngine &eng, const Wave &prev, Wave &next,
              std::size_t m, std::size_t n)
     {
-        constexpr unsigned L = isa::kLanes32;
-        const VReg vm = vpu_.dup32(static_cast<std::int32_t>(m));
-        const VReg vn = vpu_.dup32(static_cast<std::int32_t>(n));
-        const VReg vnone = vpu_.dup32(kOffNone);
-        const VReg vzero = vpu_.dup32(0);
-        (void)eng;
-        for (int k0 = next.lo(); k0 <= next.hi();
-             k0 += static_cast<int>(L)) {
-            const unsigned cnt = std::min<long>(
-                L, static_cast<long>(next.hi()) - k0 + 1);
-            const unsigned bytes = cnt * 4;
-            // One charge run for the three wave loads, each register
-            // rebuilt from its own tag — byte-identical to per-op
-            // load() calls.
-            const sim::MemOp waveLoads[] = {
-                {sim::OpClass::VecLoad, kSiteNwIns,
-                 addrOf(prev.ptr(k0 - 1)), bytes},
-                {sim::OpClass::VecLoad, kSiteNwSub,
-                 addrOf(prev.ptr(k0)), bytes},
-                {sim::OpClass::VecLoad, kSiteNwDel,
-                 addrOf(prev.ptr(k0 + 1)), bytes},
-            };
-            sim::Tag wt[3];
-            vpu_.chargeMemRun(waveLoads, sim::Tag{}, wt);
-            using VU = isa::VectorUnit;
-            const VReg a = VU::lanes(prev.ptr(k0 - 1), bytes, wt[0]);
-            const VReg b = VU::lanes(prev.ptr(k0), bytes, wt[1]);
-            const VReg c = VU::lanes(prev.ptr(k0 + 1), bytes, wt[2]);
-            VReg v = vpu_.max32(
-                vpu_.max32(vpu_.add32i(a, 1), vpu_.add32i(b, 1)), c);
-            const VReg kv = vpu_.index32(k0, 1);
-            const VReg jmax = vpu_.min32(vn, vpu_.add32(kv, vm));
-            const Pred lanes = vpu_.whilelt(0, cnt, L);
-            const Pred bad =
-                vpu_.pOr(vpu_.cmpgt32(v, jmax, lanes, L),
-                         vpu_.cmplt32(v, vzero, lanes, L));
-            v = vpu_.sel32(bad, vnone, v);
-            vpu_.store(kSiteNwSto, next.ptr(k0), v, bytes);
-        }
+        namespace wb = blocks::wave;
+        std::array<sim::Tag, wb::kSlots> slots{};
+        slots[wb::kM] = vpu_.dup32(static_cast<std::int32_t>(m)).tag;
+        slots[wb::kN] = vpu_.dup32(static_cast<std::int32_t>(n)).tag;
+        slots[wb::kInvalid] = vpu_.dup32(kOffNone).tag;
+        slots[wb::kZero] = vpu_.dup32(0).tag;
+        if (next.lo() > next.hi())
+            return;
+        for (int k = next.lo(); k <= next.hi(); ++k)
+            next.set(k, eng.nextValue(prev, k));
+        const auto row = [](std::uint64_t site, const Wave &w, int k) {
+            return sim::CellStream{site, addrOf(w.ptr(k)), 4, 4};
+        };
+        const int lo = next.lo();
+        const std::array<sim::CellStream, wb::kStreams> streams{{
+            row(kSiteNwIns, prev, lo - 1),
+            row(kSiteNwSub, prev, lo),
+            row(kSiteNwDel, prev, lo + 1),
+            row(kSiteNwSto, next, lo),
+        }};
+        vpu_.pipeline().executeBlockRun<wb::kProgram>(
+            streams, slots, static_cast<std::uint64_t>(next.hi() - lo + 1),
+            isa::kLanes32);
     }
 
     void
@@ -343,9 +333,9 @@ class VecKernels
             const VReg kv = vpu_.index32(k0, 1);
             const VReg jmax = vpu_.min32(vn, vpu_.add32(kv, vm));
             const Pred lanes = vpu_.whilelt(0, cnt, L);
+            const Pred neg = vpu_.cmplt32(acc, vzero, lanes, L);
             const Pred bad =
-                vpu_.pOr(vpu_.cmpgt32(acc, jmax, lanes, L),
-                         vpu_.cmplt32(acc, vzero, lanes, L));
+                vpu_.pOr(vpu_.cmpgt32(acc, jmax, lanes, L), neg);
             VReg out = vpu_.sel32(bad, vnone, acc);
             // Authoritative functional values (identical to the
             // vector math wherever the source rows were loadable).
@@ -620,7 +610,8 @@ class QzWfaEngine final : public QzWfaEngineBase
             const Pred lanes = vpu.whilelt(0, cnt, L);
             Pred act = vpu.cmpne32(jv, vnone, lanes, L);
             const VReg iv = vpu.sub32(jv, kv);
-            VReg rem = vpu.min32(vpu.sub32(vm, iv), vpu.sub32(vn, jv));
+            const VReg jRem = vpu.sub32(vn, jv);
+            VReg rem = vpu.min32(vpu.sub32(vm, iv), jRem);
             act = vpu.pAnd(act, vpu.cmpgt32(rem, vzero, act, L));
             VReg ip = dir == Dir::Fwd ? iv : vpu.sub32(vm1, iv);
             VReg it = dir == Dir::Fwd ? jv : vpu.sub32(vn1, jv);
@@ -628,12 +619,12 @@ class QzWfaEngine final : public QzWfaEngineBase
             while (vpu.anyActive(act)) {
                 const Pred pLo = vpu.punpkLo(act);
                 const Pred pHi = vpu.punpkHi(act);
+                const VReg tLo = vpu.widenLo32to64(it);
                 const VReg xLo = qz_.qzmhm(opn, vpu.widenLo32to64(ip),
-                                           vpu.widenLo32to64(it), pLo,
-                                           isa::kLanes64);
+                                           tLo, pLo, isa::kLanes64);
+                const VReg tHi = vpu.widenHi32to64(it);
                 const VReg xHi = qz_.qzmhm(opn, vpu.widenHi32to64(ip),
-                                           vpu.widenHi32to64(it), pHi,
-                                           isa::kLanes64);
+                                           tHi, pHi, isa::kLanes64);
                 // Count matched elements from each xor window, then
                 // pack the two halves back into 16 x 32-bit counts.
                 auto count64 = [&](const VReg &x) {
@@ -641,8 +632,8 @@ class QzWfaEngine final : public QzWfaEngineBase
                                                     : vpu.clz64(x);
                     return vpu.shr64i(tz, shift);
                 };
-                const VReg counts =
-                    vpu.pack64to32(count64(xLo), count64(xHi));
+                const VReg countHi = count64(xHi);
+                const VReg counts = vpu.pack64to32(count64(xLo), countHi);
                 const VReg adv = vpu.min32(counts, rem);
                 const VReg sadv = dir == Dir::Fwd
                                       ? adv
@@ -701,7 +692,8 @@ class QzCWfaEngine final : public QzWfaEngineBase
             const Pred lanes = vpu.whilelt(0, cnt, L);
             Pred act = vpu.cmpne32(jv, vnone, lanes, L);
             const VReg iv = vpu.sub32(jv, kv);
-            VReg rem = vpu.min32(vpu.sub32(vm, iv), vpu.sub32(vn, jv));
+            const VReg jRem = vpu.sub32(vn, jv);
+            VReg rem = vpu.min32(vpu.sub32(vm, iv), jRem);
             act = vpu.pAnd(act, vpu.cmpgt32(rem, vzero, act, L));
             VReg ip = dir == Dir::Fwd ? iv : vpu.sub32(vm1, iv);
             VReg it = dir == Dir::Fwd ? jv : vpu.sub32(vn1, jv);
@@ -709,12 +701,12 @@ class QzCWfaEngine final : public QzWfaEngineBase
             while (vpu.anyActive(act)) {
                 const Pred pLo = vpu.punpkLo(act);
                 const Pred pHi = vpu.punpkHi(act);
+                const VReg tLo = vpu.widenLo32to64(it);
                 const VReg cLo = qz_.qzmhm(opn, vpu.widenLo32to64(ip),
-                                           vpu.widenLo32to64(it), pLo,
-                                           isa::kLanes64);
+                                           tLo, pLo, isa::kLanes64);
+                const VReg tHi = vpu.widenHi32to64(it);
                 const VReg cHi = qz_.qzmhm(opn, vpu.widenHi32to64(ip),
-                                           vpu.widenHi32to64(it), pHi,
-                                           isa::kLanes64);
+                                           tHi, pHi, isa::kLanes64);
                 const VReg counts = vpu.pack64to32(cLo, cHi);
                 const VReg adv = vpu.min32(counts, rem);
                 const VReg sadv = dir == Dir::Fwd

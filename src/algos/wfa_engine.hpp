@@ -196,21 +196,6 @@ class WfaEngine
         return clampOffset(best, k);
     }
 
-  protected:
-    /** Pattern residue at virtual index @p i under @p dir. */
-    char
-    pat(Dir dir, std::size_t i) const
-    {
-        return dir == Dir::Fwd ? p_[i] : p_[p_.size() - 1 - i];
-    }
-
-    /** Text residue at virtual index @p j under @p dir. */
-    char
-    txt(Dir dir, std::size_t j) const
-    {
-        return dir == Dir::Fwd ? t_[j] : t_[t_.size() - 1 - j];
-    }
-
     /**
      * Functional next-wave value for diagonal @p k: the classic
      * max(ins, sub, del) with range clamping. Shared by every engine
@@ -229,6 +214,21 @@ class WfaEngine
         if (best < 0 || best > jmax)
             best = kOffNone;
         return best;
+    }
+
+  protected:
+    /** Pattern residue at virtual index @p i under @p dir. */
+    char
+    pat(Dir dir, std::size_t i) const
+    {
+        return dir == Dir::Fwd ? p_[i] : p_[p_.size() - 1 - i];
+    }
+
+    /** Text residue at virtual index @p j under @p dir. */
+    char
+    txt(Dir dir, std::size_t j) const
+    {
+        return dir == Dir::Fwd ? t_[j] : t_[t_.size() - 1 - j];
     }
 
     /** Hook for variant-specific per-pair setup (QBUFFER staging). */

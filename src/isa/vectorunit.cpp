@@ -91,20 +91,12 @@ VReg
 VectorUnit::load8to32(SiteId site, const void *ptr, unsigned n,
                       sim::Tag dep)
 {
-    return widenLanes8to32(
-        ptr, n,
-        pipeline_.executeMem(OpClass::VecLoad, site, toAddr(ptr), n,
-                             {dep}));
-}
-
-VReg
-VectorUnit::widenLanes8to32(const void *ptr, unsigned n, sim::Tag tag)
-{
     panic_if_not(n <= kLanes32, "widening load of {} bytes", n);
     VReg out;
     simd_.widen8to32(static_cast<const std::uint8_t *>(ptr), n,
                      out.words.data());
-    out.tag = tag;
+    out.tag = pipeline_.executeMem(OpClass::VecLoad, site, toAddr(ptr), n,
+                                   {dep});
     return out;
 }
 

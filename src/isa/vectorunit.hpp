@@ -85,11 +85,9 @@ class VectorUnit
      * Charging half of a run of contiguous vector memory ops that all
      * consume the same @p dep: one pipeline call, op i's readiness tag
      * in @p tags[i], byte-identical to per-op load()/store() charging
-     * in array order. Pair each tag with the matching functional
-     * payload below (lanes()/widenLanes8to32()) to rebuild the
-     * registers load() would have returned. The DP vector fills charge
-     * a fixed 5-7 load shape per slice, which is where the per-call
-     * scoreboard reload cost concentrated.
+     * in array order. Pair each tag with lanes() below to rebuild the
+     * registers load() would have returned. (The DP fills charge whole
+     * blocks through sim::Pipeline::executeBlockRun instead.)
      */
     void
     chargeMemRun(std::span<const sim::MemOp> ops, sim::Tag dep,
@@ -108,10 +106,6 @@ class VectorUnit
         out.tag = tag;
         return out;
     }
-
-    /** Functional payload of load8to32(): @p n bytes zero-extended
-     *  into 32-bit elements, carrying @p tag. */
-    VReg widenLanes8to32(const void *ptr, unsigned n, sim::Tag tag);
 
     // ---- indexed memory (scatter/gather) --------------------------
     /**

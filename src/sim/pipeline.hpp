@@ -24,18 +24,22 @@
  * robEntries/lsqEntries at construction, so the once-per-instruction
  * dispatch path never allocates; independent same-class op runs go
  * through a closed-form burst path (executeOpBurst) instead of N
- * trips through executeOp; and a BASE DP cell run (executeCellRun)
- * fast-forwards through stretches whose per-cell schedule only
- * repeats, shifted in time. The scoreboard is shift-invariant (it
- * takes maxima, adds constants and attributes differences) and the
- * memory system never reads time, so a run fetches its latencies
- * ahead, compares the state at a period boundary with the state one
- * period earlier (cycle values relative to the issue pointer, stale
- * ones collapsed), and jumps whole periods, or recorded miss
- * transients ("loops"), while the latencies repeat. All three are
+ * trips through executeOp; a vector DP fill charges each diagonal's
+ * 16-lane blocks as one block run (executeBlockRun) of a
+ * compile-time op list, with no register values built; and a BASE
+ * DP cell run (executeCellRun) fast-forwards through stretches whose
+ * per-cell schedule only repeats, shifted in time. The scoreboard is
+ * shift-invariant (it takes maxima, adds constants and attributes
+ * differences) and the memory system never reads time, so a run
+ * fetches its latencies ahead, compares the state at a period
+ * boundary with the state one period earlier (cycle values relative
+ * to the issue pointer, stale ones collapsed), and jumps whole
+ * periods, or recorded miss transients ("loops"), while the
+ * latencies repeat. All four are
  * proven observationally identical to the straightforward code by
  * randomized lockstep tests (tests/test_sim.cpp, RingRobLsqEquivalence
  * / BurstMatchesSerialExecuteOps /
+ * BlockRunMatchesPerOpVectorCharges /
  * CellRunFastForwardMatchesPerCellCharges).
  */
 #ifndef QUETZAL_SIM_PIPELINE_HPP
@@ -235,6 +239,38 @@ struct CellStream
     unsigned bytes;
 };
 
+/**
+ * One instruction of a vector block program (Pipeline::executeBlockRun).
+ * A block reads and writes numbered tag slots: slot 0 is the empty
+ * tag, the caller fills the run's inputs, and each op writes its
+ * result tag to slot @p dst after joining up to three source slots
+ * (0 where there are fewer). A memory op accesses stream @p stream.
+ */
+struct BlockOp
+{
+    OpClass cls;
+    std::uint8_t dst;
+    std::array<std::uint8_t, 3> srcs{};
+    std::uint8_t stream = 0;
+};
+
+/** True for classes that visit the cache hierarchy. */
+constexpr bool
+isMemClass(OpClass cls)
+{
+    switch (cls) {
+      case OpClass::ScalarLoad:
+      case OpClass::ScalarStore:
+      case OpClass::VecLoad:
+      case OpClass::VecStore:
+      case OpClass::VecGather:
+      case OpClass::VecScatter:
+        return true;
+      default:
+        return false;
+    }
+}
+
 /** The scoreboard core model. */
 class Pipeline
 {
@@ -333,6 +369,29 @@ class Pipeline
                         unsigned aluCount,
                         const std::array<CellStream, M> &stores,
                         std::uint64_t cells, Tag &chain, Tag &pending);
+
+    /**
+     * Charge @p lanes lanes of a vector fill as blocks of
+     * @p blockLanes (the last block may be partial): each block
+     * issues ops [From, To) of @p Program in order, op by op exactly
+     * as executeOp / executeMem would, so its schedule, stalls, op
+     * counts and memory-system state are those of the per-op
+     * VectorUnit sequence the program transcribes. The op list and
+     * its dependency edges are compile-time constants, so the whole
+     * block unrolls with the scoreboard state in registers and no
+     * register values are built. Memory op k of the block starting
+     * at lane l touches [base + stride * l, + bytes * cnt) of its
+     * stream, cnt being the block's lanes; streams go through
+     * MemorySystem::accessStream with one run-local memo each.
+     * @p slots carries the run inputs in (slot 0 is reset to the
+     * empty tag) and every op's tag in the last block out.
+     */
+    template <const auto &Program, std::size_t From = 0,
+              std::size_t To = std::size(Program), std::size_t S,
+              std::size_t V>
+    void executeBlockRun(const std::array<CellStream, S> &streams,
+                         std::array<Tag, V> &slots, std::uint64_t lanes,
+                         unsigned blockLanes);
 
     /**
      * Indexed memory op (gather/scatter): one cache access per element
@@ -511,6 +570,46 @@ class Pipeline
         Tag out{};
         ((out = Tag::join(out, cellOpImpl<Write>(lat[I], dep))), ...);
         return out;
+    }
+
+    /**
+     * One op of a block run: executeOp's body for a non-memory class
+     * (@p spec resolved once per run) or memOpImpl's with the latency
+     * from the op's stream.
+     */
+    template <BlockOp Op, std::size_t S, std::size_t V>
+    QZ_SIM_ALWAYS_INLINE void
+    blockOp(const OpSpec &spec, const std::array<CellStream, S> &streams,
+            std::array<MemorySystem::StreamMemo, S> &memo,
+            std::array<Tag, V> &slots, std::uint64_t lane0, unsigned cnt)
+    {
+        static_assert(Op.dst != 0 && Op.dst < V, "bad block op slot");
+        Tag dep{};
+        for (const std::uint8_t src : Op.srcs)
+            dep = Tag::join(dep, slots[src]);
+        if constexpr (isMemClass(Op.cls)) {
+            constexpr bool write = Op.cls == OpClass::VecStore ||
+                                   Op.cls == OpClass::ScalarStore;
+            static_assert(write || Op.cls == OpClass::VecLoad ||
+                              Op.cls == OpClass::ScalarLoad,
+                          "block ops are contiguous accesses");
+            static_assert(Op.stream < S, "bad block op stream");
+            const CellStream &s = streams[Op.stream];
+            const unsigned latency = mem_.accessStream(
+                memo[Op.stream], s.pc,
+                s.base + static_cast<Addr>(s.stride) * lane0,
+                s.bytes * cnt);
+            const Cycle issue = resolveIssue(dep, aguPipes_, 1, 1);
+            const Cycle completion = write ? issue + 1 : issue + latency;
+            finishOp(Op.cls, completion, 1, true,
+                     write ? issue + latency : 0);
+            slots[Op.dst] = Tag{completion, true};
+        } else {
+            const Cycle issue = resolveIssue(dep, *spec.pool, 1, 0);
+            const Cycle completion = issue + spec.latency;
+            finishOp(Op.cls, completion, 0, false);
+            slots[Op.dst] = Tag{completion, false};
+        }
     }
 
     /** One in-flight instruction tracked for in-order retirement. */
@@ -927,21 +1026,38 @@ Pipeline::executeCellRun(const std::array<CellStream, N> &loads,
     pending = pend;
 }
 
-/** True for classes that visit the cache hierarchy. */
-inline bool
-isMemClass(OpClass cls)
+template <const auto &Program, std::size_t From, std::size_t To,
+          std::size_t S, std::size_t V>
+void
+Pipeline::executeBlockRun(const std::array<CellStream, S> &streams,
+                          std::array<Tag, V> &slots, std::uint64_t lanes,
+                          unsigned blockLanes)
 {
-    switch (cls) {
-      case OpClass::ScalarLoad:
-      case OpClass::ScalarStore:
-      case OpClass::VecLoad:
-      case OpClass::VecStore:
-      case OpClass::VecGather:
-      case OpClass::VecScatter:
-        return true;
-      default:
-        return false;
-    }
+    static_assert(From <= To && To <= std::size(Program));
+    constexpr std::size_t K = To - From;
+    std::array<std::uint64_t, S> pcs{};
+    for (std::size_t i = 0; i < S; ++i)
+        pcs[i] = streams[i].pc;
+    std::array<MemorySystem::StreamMemo, S> memo{};
+    mem_.openStreams(pcs, memo);
+    std::array<OpSpec, K> specs{};
+    for (std::size_t k = 0; k < K; ++k)
+        if (!isMemClass(Program[From + k].cls))
+            specs[k] = opSpec(Program[From + k].cls);
+
+    slots[0] = Tag{};
+    const auto block = [&]<std::size_t... I>(
+        std::uint64_t lane0, unsigned cnt,
+        std::index_sequence<I...>) QZ_SIM_ALWAYS_INLINE_LAMBDA {
+        (blockOp<Program[From + I]>(specs[I], streams, memo, slots, lane0,
+                                    cnt),
+         ...);
+    };
+    for (std::uint64_t lane0 = 0; lane0 < lanes; lane0 += blockLanes)
+        block(lane0,
+              static_cast<unsigned>(
+                  std::min<std::uint64_t>(blockLanes, lanes - lane0)),
+              std::make_index_sequence<K>{});
 }
 
 /** Human-readable class name (for stat dumps). */

@@ -6,10 +6,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <optional>
 
 #include "algos/nw.hpp"
+#include "algos/runner.hpp"
+#include "algos/workload.hpp"
 #include "algos/swg.hpp"
 #include "common/rng.hpp"
 #include "genomics/datasets.hpp"
@@ -293,6 +296,114 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, SwgVariants,
                                      c = 'C';
                              return name;
                          });
+
+/** Simulated metrics of one run, as the Fig. 13a cells report them. */
+struct PinnedMetrics
+{
+    std::uint64_t cycles, instructions, memRequests, dramBytes;
+    std::array<std::uint64_t, 4> stalls; //!< frontend, compute, cache, struct
+};
+
+void
+expectPinned(const PinnedMetrics &got, const PinnedMetrics &want,
+             const std::string &what)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << what;
+    EXPECT_EQ(got.instructions, want.instructions) << what;
+    EXPECT_EQ(got.memRequests, want.memRequests) << what;
+    EXPECT_EQ(got.dramBytes, want.dramBytes) << what;
+    EXPECT_EQ(got.stalls, want.stalls) << what;
+}
+
+/**
+ * The NW and SW vector cells' simulated metrics, pinned exactly: the
+ * first pair of the 100 bp and 250 bp catalog datasets and of 10 Kbp
+ * capped at 1000 bp (Fig. 13a's NW cap). SW QUETZAL+C runs the same
+ * path as SW QUETZAL. A change to the vector fills' charging must
+ * leave these byte-identical.
+ */
+TEST(NwSwgVectorMetrics, PinnedOnCatalogPairs)
+{
+    constexpr std::size_t kUncapped = ~std::size_t{0};
+    struct Case
+    {
+        const char *algo, *dataset;
+        std::size_t maxLen;
+        Variant variant;
+        PinnedMetrics want;
+    };
+    const Case cases[] = {
+        {"NW", "100bp_1", kUncapped, Variant::Vec,
+         {13905, 11624, 5328, 41216, {2906, 21, 10943, 0}}},
+        {"NW", "100bp_1", kUncapped, Variant::Qz,
+         {13954, 12249, 5000, 41216, {3062, 1778, 9078, 0}}},
+        {"NW", "100bp_1", kUncapped, Variant::QzC,
+         {13954, 12249, 5000, 41216, {3062, 1778, 9078, 0}}},
+        {"NW", "250bp_1", kUncapped, Variant::Vec,
+         {75738, 63201, 30350, 248576, {15800, 135, 59755, 0}}},
+        {"NW", "250bp_1", kUncapped, Variant::Qz,
+         {75709, 63826, 30036, 248576, {15956, 1899, 57806, 0}}},
+        {"NW", "250bp_1", kUncapped, Variant::QzC,
+         {75709, 63826, 30036, 248576, {15956, 1899, 57806, 0}}},
+        {"NW", "10Kbp", 1000, Variant::Vec,
+         {1167953, 959684, 470959, 4010240, {239921, 470, 927515, 0}}},
+        {"NW", "10Kbp", 1000, Variant::Qz,
+         {1167896, 960309, 470653, 4010240, {240077, 2246, 925525, 0}}},
+        {"NW", "10Kbp", 1000, Variant::QzC,
+         {1167896, 960309, 470653, 4010240, {240077, 2246, 925525, 0}}},
+        {"SW", "100bp_1", kUncapped, Variant::Vec,
+         {13658, 9668, 5747, 57600, {2417, 0, 11139, 0}}},
+        {"SW", "100bp_1", kUncapped, Variant::Qz,
+         {13658, 9668, 5747, 57600, {2417, 0, 11139, 0}}},
+        {"SW", "250bp_1", kUncapped, Variant::Vec,
+         {34336, 25076, 15109, 171520, {6269, 4, 27961, 0}}},
+        {"SW", "250bp_1", kUncapped, Variant::Qz,
+         {34336, 25076, 15109, 171520, {6269, 4, 27961, 0}}},
+        {"SW", "10Kbp", 1000, Variant::Vec,
+         {145655, 103380, 63520, 704000, {25845, 74, 119634, 0}}},
+        {"SW", "10Kbp", 1000, Variant::Qz,
+         {145655, 103380, 63520, 704000, {25845, 74, 119634, 0}}},
+    };
+    for (const Case &c : cases) {
+        RunOptions options;
+        options.variant = c.variant;
+        options.maxPairs = 1;
+        options.maxLen = c.maxLen;
+        if (needsQuetzal(c.variant))
+            options.system = sim::SystemParams::withQuetzal();
+        const RunResult r = workloadByName(c.algo).run(
+            genomics::makeDataset(c.dataset, 0.001), options);
+        ASSERT_EQ(r.pairs, 1u);
+        expectPinned({r.cycles, r.instructions, r.memRequests, r.dramBytes,
+                      r.stalls},
+                     c.want,
+                     std::string(c.algo) + " " + c.dataset + " " +
+                         std::string(variantName(c.variant)));
+    }
+}
+
+/** The QBUFFER-rows SWG path (SwgParams::qbufferRows), pinned the
+ *  same way on the first 250 bp catalog pair. */
+TEST(NwSwgVectorMetrics, PinnedQbufferRowsPath)
+{
+    const genomics::PairDataset data = genomics::makeDataset("250bp_1", 0.001);
+    sim::SimContext ctx(sim::SystemParams::withQuetzal());
+    isa::VectorUnit vpu(ctx.pipeline());
+    accel::QzUnit qz(vpu, ctx.params().quetzal);
+    SwgParams params;
+    params.qbufferRows = true;
+    swgAlign(Variant::Qz, data.pairs.front().pattern,
+             data.pairs.front().text, params, &vpu, &qz);
+    const sim::Pipeline &pipe = ctx.pipeline();
+    std::array<std::uint64_t, 4> stalls{};
+    for (std::size_t k = 0; k < stalls.size(); ++k)
+        stalls[k] = pipe.stallCycles(static_cast<sim::StallKind>(k));
+    expectPinned({pipe.totalCycles(), pipe.instructions(),
+                  ctx.mem().totalRequests(), ctx.mem().dramBytes(), stalls},
+                 PinnedMetrics{35394, 37581, 8078, 191232,
+                               {9395, 25151, 800, 0}},
+                 "SW QUETZAL qbufferRows");
+}
 
 /**
  * The cell-run fast-forward (Pipeline::executeCellRun) must carry at

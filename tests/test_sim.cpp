@@ -11,7 +11,9 @@
 #include <deque>
 #include <random>
 
+#include "algos/vector_blocks.hpp"
 #include "common/logging.hpp"
+#include "isa/vectorunit.hpp"
 #include "sim/cache.hpp"
 #include "sim/context.hpp"
 #include "sim/memsystem.hpp"
@@ -1438,6 +1440,407 @@ TEST(Pipeline, CellRunFastForwardMatchesPerCellCharges)
                         static_cast<unsigned long long>(
                             run.cellRunFastCells()),
                         static_cast<unsigned long long>(totalCells));
+            ++configIdx;
+        }
+    }
+}
+
+/**
+ * Near repeats that only one of the fast-forward's state compares
+ * tells apart: each case fails when that compare is deleted.
+ *  - The mark's ROB compare. A QZ op issued between two runs of the
+ *    same all-hit NW streams stays live in the ROB through the second
+ *    run's first periods. It is not the max completion (the chain
+ *    runs further ahead) and holds no LSQ entry. When it retires, the
+ *    ROB's pops shift by one op and the schedule changes.
+ *  - A recorded loop's exact chain offset and its LSQ compare. SWG
+ *    runs of 100-259 cells whose first store row advances 260 bytes a
+ *    cell (a new 256-byte line almost every cell) leave, at ROB/LSQ
+ *    {1, 1}, a stale chain whose offset depends on the last cell's
+ *    store fills, and at {16, 8} live store fills in the LSQ that the
+ *    ROB has already retired.
+ * A core and a twin charged per cell must keep identical chain tags
+ * and observables after every run, at issue widths 2, 4 and 8.
+ */
+TEST(Pipeline, CellRunFastForwardTellsNearRepeatsApart)
+{
+    unsigned configIdx = 0;
+    for (const unsigned issueWidth : {2u, 4u, 8u}) {
+        SystemParams params;
+        params.core.issueWidth = issueWidth;
+        MemorySystem memRun(params);
+        MemorySystem memTwin(params);
+        Pipeline run(params, memRun);
+        Pipeline twin(params, memTwin);
+        const std::array<CellStream, 5> loads{
+            {{0x400, 0x100000, 0, 4}, {0x401, 0x100004, 0, 4},
+             {0x402, 0x100008, 0, 4}, {0x410, 0x200000, 0, 1},
+             {0x411, 0x300000, 0, 1}}};
+        const std::array<CellStream, 1> stores{{{0x403, 0x100040, 0, 4}}};
+        ChainState runState, twinState;
+        int step = 0;
+        for (unsigned latency = 140; latency <= 190; latency += 2) {
+            chargeCellRun(loads, 4, stores, 300, run, runState, twin,
+                          twinState);
+            run.executeQz(OpClass::QzMhm, latency, {});
+            twin.executeQz(OpClass::QzMhm, latency, {});
+            chargeCellRun(loads, 4, stores, 300, run, runState, twin,
+                          twinState);
+            ASSERT_EQ(runState.chain.ready, twinState.chain.ready)
+                << "config " << configIdx << " latency " << latency;
+            expectSameObservables(run, twin, configIdx, step++);
+        }
+        EXPECT_GT(run.cellRunFastCells(), 0u) << "config " << configIdx;
+        ++configIdx;
+    }
+
+    struct Queues
+    {
+        unsigned robEntries, lsqEntries;
+    };
+    for (const unsigned issueWidth : {2u, 4u, 8u}) {
+        for (const Queues queue : {Queues{1, 1}, Queues{16, 8}}) {
+            SystemParams params;
+            params.core.issueWidth = issueWidth;
+            params.core.robEntries = queue.robEntries;
+            params.core.lsqEntries = queue.lsqEntries;
+            MemorySystem memRun(params);
+            MemorySystem memTwin(params);
+            Pipeline run(params, memRun);
+            Pipeline twin(params, memTwin);
+            const std::array<CellStream, 7> loads{
+                {{0x400, 0x100000, 0, 4}, {0x401, 0x100004, 0, 4},
+                 {0x404, 0x100008, 0, 4}, {0x405, 0x10000c, 0, 4},
+                 {0x402, 0x100010, 0, 4}, {0x410, 0x200000, 0, 1},
+                 {0x411, 0x300000, 0, 1}}};
+            Addr row = Addr{1} << 24;
+            ChainState runState, twinState;
+            int step = 0;
+            for (std::uint64_t cells = 100; cells < 260; ++cells) {
+                const std::array<CellStream, 3> stores{
+                    {{0x403, row, 260, 4},
+                     {0x406, row + (1 << 20), 0, 4},
+                     {0x407, row + (2 << 20), 4, 4}}};
+                row += 300 * cells;
+                chargeCellRun(loads, 8, stores, cells, run, runState,
+                              twin, twinState);
+                ASSERT_EQ(runState.chain.ready, twinState.chain.ready)
+                    << "config " << configIdx << " cells " << cells;
+                expectSameObservables(run, twin, configIdx, step++);
+            }
+            EXPECT_GT(run.cellRunFastCells(), 0u)
+                << "config " << configIdx;
+            ++configIdx;
+        }
+    }
+}
+
+// ---- vector block runs ----------------------------------------------
+
+namespace nwb = algos::blocks::nw;
+namespace swgb = algos::blocks::swg;
+namespace waveb = algos::blocks::wave;
+using isa::Pred;
+using isa::VReg;
+using isa::VectorUnit;
+
+constexpr unsigned kBlockLanes = isa::kLanes32;
+
+/** Host address of lane @p lane0 of stream @p s. */
+void *
+laneAddr(const CellStream &s, std::uint64_t lane0)
+{
+    return reinterpret_cast<void *>(s.base +
+                                    static_cast<Addr>(s.stride) * lane0);
+}
+
+/**
+ * One NW block op by op through the VectorUnit, as the fill issued it
+ * before block runs (nested calls evaluated last argument first).
+ * @return the store's tag.
+ */
+Tag
+nwBlockPerOp(VectorUnit &vpu, const std::array<CellStream, nwb::kStreams> &s,
+             Tag fwd, const VReg &one, std::uint64_t lane0, unsigned cnt)
+{
+    const auto at = [&](std::size_t i) { return laneAddr(s[i], lane0); };
+    const unsigned bytes = cnt * 4;
+    const VReg a = vpu.load(s[nwb::kStreamA].pc, at(nwb::kStreamA), bytes,
+                            fwd);
+    const VReg b = vpu.load(s[nwb::kStreamB].pc, at(nwb::kStreamB), bytes,
+                            fwd);
+    const VReg c = vpu.load(s[nwb::kStreamC].pc, at(nwb::kStreamC), bytes);
+    const VReg pc = vpu.load8to32(s[nwb::kStreamP].pc, at(nwb::kStreamP),
+                                  cnt);
+    const VReg tc = vpu.load8to32(s[nwb::kStreamT].pc, at(nwb::kStreamT),
+                                  cnt);
+    const Pred lanes = vpu.whilelt(0, cnt, kBlockLanes);
+    const Pred eq = vpu.cmpeq32(pc, tc, lanes, kBlockLanes);
+    const VReg zero = vpu.dup32(0);
+    const VReg cost = vpu.sel32(eq, zero, one);
+    const VReg diag = vpu.add32(c, cost);
+    const VReg up = vpu.add32i(b, 1);
+    const VReg left = vpu.add32i(a, 1);
+    const VReg min = vpu.min32(left, up);
+    const VReg value = vpu.min32(min, diag);
+    return vpu.store(s[nwb::kStreamV].pc, at(nwb::kStreamV), value, bytes);
+}
+
+/** One SWG block op by op (see nwBlockPerOp); returns the H store's
+ *  tag. */
+Tag
+swgBlockPerOp(VectorUnit &vpu,
+              const std::array<CellStream, swgb::kStreams> &s, Tag fwd,
+              const VReg &match, const VReg &mismatch, std::uint64_t lane0,
+              unsigned cnt)
+{
+    constexpr std::int32_t kOpen = 6, kExtend = 2;
+    const auto at = [&](std::size_t i) { return laneAddr(s[i], lane0); };
+    const auto load = [&](std::size_t i, Tag dep) {
+        return vpu.load(s[i].pc, at(i), cnt * 4, dep);
+    };
+    const VReg h1 = load(swgb::kStreamH1, fwd);
+    const VReg h1b = load(swgb::kStreamH1b, fwd);
+    const VReg e1 = load(swgb::kStreamE1, fwd);
+    const VReg f1 = load(swgb::kStreamF1, fwd);
+    const VReg h2 = load(swgb::kStreamH2, Tag{});
+    const VReg pc = vpu.load8to32(s[swgb::kStreamP].pc, at(swgb::kStreamP),
+                                  cnt);
+    const VReg tc = vpu.load8to32(s[swgb::kStreamT].pc, at(swgb::kStreamT),
+                                  cnt);
+    const Pred lanes = vpu.whilelt(0, cnt, kBlockLanes);
+    const Pred eq = vpu.cmpeq32(pc, tc, lanes, kBlockLanes);
+    const VReg subst = vpu.sel32(eq, match, mismatch);
+    const VReg eExt = vpu.add32i(e1, -kExtend);
+    const VReg eOpen = vpu.add32i(h1, -kOpen);
+    const VReg e = vpu.max32(eOpen, eExt);
+    const VReg fExt = vpu.add32i(f1, -kExtend);
+    const VReg fOpen = vpu.add32i(h1b, -kOpen);
+    const VReg f = vpu.max32(fOpen, fExt);
+    const VReg gap = vpu.max32(e, f);
+    const VReg diag = vpu.add32(h2, subst);
+    const VReg h = vpu.max32(diag, gap);
+    const auto store = [&](std::size_t i, const VReg &v) {
+        return vpu.store(s[i].pc, at(i), v, cnt * 4);
+    };
+    store(swgb::kStreamE, e);
+    store(swgb::kStreamF, f);
+    return store(swgb::kStreamH, h);
+}
+
+/** One WFA nextWave block op by op (see nwBlockPerOp); returns the
+ *  store's tag. */
+Tag
+waveBlockPerOp(VectorUnit &vpu,
+               const std::array<CellStream, waveb::kStreams> &s,
+               const std::array<VReg, 4> &consts, std::uint64_t lane0,
+               unsigned cnt)
+{
+    const auto &[vm, vn, vnone, vzero] = consts;
+    const auto at = [&](std::size_t i) { return laneAddr(s[i], lane0); };
+    const unsigned bytes = cnt * 4;
+    const VReg ins = vpu.load(s[waveb::kStreamIns].pc,
+                              at(waveb::kStreamIns), bytes);
+    const VReg sub = vpu.load(s[waveb::kStreamSub].pc,
+                              at(waveb::kStreamSub), bytes);
+    const VReg del = vpu.load(s[waveb::kStreamDel].pc,
+                              at(waveb::kStreamDel), bytes);
+    const VReg subInc = vpu.add32i(sub, 1);
+    const VReg insInc = vpu.add32i(ins, 1);
+    const VReg max = vpu.max32(insInc, subInc);
+    const VReg best = vpu.max32(max, del);
+    const VReg kv = vpu.index32(static_cast<std::int32_t>(lane0), 1);
+    const VReg km = vpu.add32(kv, vm);
+    const VReg jmax = vpu.min32(vn, km);
+    const Pred lanes = vpu.whilelt(0, cnt, kBlockLanes);
+    const Pred neg = vpu.cmplt32(best, vzero, lanes, kBlockLanes);
+    const Pred over = vpu.cmpgt32(best, jmax, lanes, kBlockLanes);
+    const Pred bad = vpu.pOr(over, neg);
+    const VReg out = vpu.sel32(bad, vnone, best);
+    return vpu.store(s[waveb::kStreamOut].pc, at(waveb::kStreamOut), out,
+                     bytes);
+}
+
+/**
+ * Proof-by-test for Pipeline::executeBlockRun and the three vector
+ * block programs (algos/vector_blocks.hpp): randomized runs of 0..80
+ * lanes (so most end in a partial block) of the NW, SWG and nextWave
+ * programs over rows laid out in a 4 MiB arena (misses, paragraph
+ * straddles, rows that read what the last run stored), with NW and
+ * SWG's previous-diagonal loads gated on the last store plus the
+ * forwarding penalty or not gated at all, and slow ops, missing loads
+ * and odd slot phases left between runs, must leave a core and a twin
+ * charged op by op through isa::VectorUnit with identical cycles,
+ * stall kinds, per-class op counts, cache/DRAM/translate_fast/prefetch
+ * stats and final store tags, at issue widths 2, 4 and 8 and ROB/LSQ
+ * sizes {128, 40}, {16, 8} and {1, 1}.
+ */
+TEST(Pipeline, BlockRunMatchesPerOpVectorCharges)
+{
+    struct Queues
+    {
+        unsigned robEntries, lsqEntries;
+    };
+    const Queues queues[] = {{128, 40}, {16, 8}, {1, 1}};
+    std::vector<std::int32_t> arena(1 << 20);
+    std::string chars(1 << 16, 'A');
+    for (std::size_t i = 0; i < chars.size(); ++i)
+        chars[i] = "ACGT"[(i * 7 + i / 5) % 4];
+    unsigned configIdx = 0;
+    for (const unsigned issueWidth : {2u, 4u, 8u}) {
+        for (const Queues &queue : queues) {
+            SystemParams params;
+            params.core.issueWidth = issueWidth;
+            params.core.robEntries = queue.robEntries;
+            params.core.lsqEntries = queue.lsqEntries;
+            MemorySystem memRun(params);
+            MemorySystem memTwin(params);
+            Pipeline run(params, memRun);
+            Pipeline twin(params, memTwin);
+            VectorUnit vpuRun(run);
+            VectorUnit vpuTwin(twin);
+
+            std::mt19937 rng(0xB10C + configIdx);
+            std::uniform_int_distribution<std::uint64_t> pickLanes(0, 80);
+            std::uniform_int_distribution<std::size_t> pickRow(
+                0, arena.size() - 1024);
+            std::uniform_int_distribution<std::size_t> pickChar(
+                0, chars.size() - 256);
+            std::uniform_int_distribution<int> pickProgram(0, 2);
+            std::uniform_int_distribution<int> pickGap(0, 3);
+            std::uniform_int_distribution<unsigned> pickSlow(50, 600);
+            const auto rowAt = [&](std::size_t i) {
+                return reinterpret_cast<Addr>(arena.data() + i);
+            };
+            const auto charAt = [&](std::size_t i) {
+                return reinterpret_cast<Addr>(chars.data() + i);
+            };
+            // Each run reads the row the previous one stored.
+            std::size_t lastRow = pickRow(rng);
+            Tag lastStoreRun{}, lastStoreTwin{};
+            for (int step = 0; step < 150; ++step) {
+                switch (pickGap(rng)) {
+                  case 1: {
+                    const unsigned ops = 1 + step % 3;
+                    run.executeOpBurst(OpClass::ScalarAlu, ops);
+                    twin.executeOpBurst(OpClass::ScalarAlu, ops);
+                    break;
+                  }
+                  case 2: {
+                    const unsigned latency = pickSlow(rng);
+                    run.executeQz(OpClass::QzMhm, latency, {});
+                    twin.executeQz(OpClass::QzMhm, latency, {});
+                    break;
+                  }
+                  case 3: {
+                    const Addr miss = rowAt(pickRow(rng));
+                    run.executeMem(OpClass::ScalarLoad, 0x420, miss, 4, {});
+                    twin.executeMem(OpClass::ScalarLoad, 0x420, miss, 4,
+                                    {});
+                    break;
+                  }
+                  default:
+                    break;
+                }
+                const std::uint64_t lanes = pickLanes(rng);
+                const bool gated = step % 2 == 0;
+                const auto gate = [&](Tag store) {
+                    return gated ? Tag{store.ready + 6, store.mem} : Tag{};
+                };
+                const std::size_t prev = lastRow;
+                const std::size_t prev2 = pickRow(rng);
+                const std::size_t out = pickRow(rng);
+                const std::size_t pAt = pickChar(rng);
+                const std::size_t tAt = pickChar(rng);
+                lastRow = out;
+                const auto cellRow = [&](std::uint64_t pc, std::size_t i) {
+                    return CellStream{pc, rowAt(i), 4, 4};
+                };
+                const CellStream p{0x305, charAt(pAt), 1, 1};
+                const CellStream t{0x306, charAt(tAt), 1, 1};
+                Tag runTag{}, twinTag{};
+                switch (pickProgram(rng)) {
+                  case 0: {
+                    const std::array<CellStream, nwb::kStreams> streams{{
+                        cellRow(0x300, prev + 1), cellRow(0x301, prev),
+                        cellRow(0x302, prev2), p, t,
+                        cellRow(0x307, out)}};
+                    std::array<Tag, nwb::kSlots> slots{};
+                    slots[nwb::kFwd] = gate(lastStoreRun);
+                    slots[nwb::kOne] = vpuRun.dup32(1).tag;
+                    run.executeBlockRun<nwb::kProgram>(streams, slots,
+                                                       lanes, kBlockLanes);
+                    runTag = slots[nwb::kStored];
+                    const Tag fwd = gate(lastStoreTwin);
+                    const VReg one = vpuTwin.dup32(1);
+                    for (std::uint64_t l = 0; l < lanes; l += kBlockLanes)
+                        twinTag = nwBlockPerOp(
+                            vpuTwin, streams, fwd, one, l,
+                            static_cast<unsigned>(std::min<std::uint64_t>(
+                                kBlockLanes, lanes - l)));
+                    break;
+                  }
+                  case 1: {
+                    // The three stores share one site, as in the fill.
+                    const std::array<CellStream, swgb::kStreams> streams{{
+                        cellRow(0x400, prev + 1), cellRow(0x401, prev),
+                        cellRow(0x402, prev + 40), cellRow(0x403, prev + 79),
+                        cellRow(0x404, prev2), p, t, cellRow(0x407, out),
+                        cellRow(0x407, out + 100), cellRow(0x407, out + 200)}};
+                    std::array<Tag, swgb::kSlots> slots{};
+                    slots[swgb::kFwd] = gate(lastStoreRun);
+                    slots[swgb::kMatch] = vpuRun.dup32(2).tag;
+                    slots[swgb::kMismatch] = vpuRun.dup32(-4).tag;
+                    run.executeBlockRun<swgb::kProgram>(streams, slots,
+                                                        lanes, kBlockLanes);
+                    runTag = slots[swgb::kStoredH];
+                    const Tag fwd = gate(lastStoreTwin);
+                    const VReg match = vpuTwin.dup32(2);
+                    const VReg mismatch = vpuTwin.dup32(-4);
+                    for (std::uint64_t l = 0; l < lanes; l += kBlockLanes)
+                        twinTag = swgBlockPerOp(
+                            vpuTwin, streams, fwd, match, mismatch, l,
+                            static_cast<unsigned>(std::min<std::uint64_t>(
+                                kBlockLanes, lanes - l)));
+                    break;
+                  }
+                  default: {
+                    const std::array<CellStream, waveb::kStreams> streams{{
+                        cellRow(0x110, prev - 1 + 2), cellRow(0x111, prev + 2),
+                        cellRow(0x112, prev + 1 + 2), cellRow(0x113, out)}};
+                    std::array<Tag, waveb::kSlots> slots{};
+                    const std::int32_t values[] = {90, 100, -1, 0};
+                    for (std::size_t i = 0; i < 4; ++i)
+                        slots[waveb::kM + i] = vpuRun.dup32(values[i]).tag;
+                    run.executeBlockRun<waveb::kProgram>(streams, slots,
+                                                         lanes, kBlockLanes);
+                    runTag = slots[waveb::kStored];
+                    std::array<VReg, 4> consts;
+                    for (std::size_t i = 0; i < 4; ++i)
+                        consts[i] = vpuTwin.dup32(values[i]);
+                    for (std::uint64_t l = 0; l < lanes; l += kBlockLanes)
+                        twinTag = waveBlockPerOp(
+                            vpuTwin, streams, consts, l,
+                            static_cast<unsigned>(std::min<std::uint64_t>(
+                                kBlockLanes, lanes - l)));
+                    break;
+                  }
+                }
+                ASSERT_EQ(runTag.ready, twinTag.ready)
+                    << "config " << configIdx << " step " << step;
+                ASSERT_EQ(runTag.mem, twinTag.mem)
+                    << "config " << configIdx << " step " << step;
+                lastStoreRun = runTag;
+                lastStoreTwin = twinTag;
+                expectSameObservables(run, twin, configIdx, step);
+            }
+            for (unsigned c = 0;
+                 c < static_cast<unsigned>(OpClass::NumClasses); ++c)
+                EXPECT_EQ(run.opCount(static_cast<OpClass>(c)),
+                          twin.opCount(static_cast<OpClass>(c)))
+                    << "config " << configIdx << " class " << c;
+            expectSameMemory(memRun, memTwin, configIdx);
+            EXPECT_GT(memRun.dramBytes(), 0u) << "config " << configIdx;
             ++configIdx;
         }
     }
